@@ -1,15 +1,18 @@
 # Core benchmarks tracked across PRs: the precompute grid (allocations per
 # replay are the dense-engine target figure), the cluster-space build
 # (packed/slice keys across worker counts), the per-replay sweep unit, the
-# single-run algorithms, and the Delta-Judgment ablation.
-BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkExecuteMovieLens|BenchmarkAppendWAL|BenchmarkJoinMovieLens|BenchmarkJoinTriangle|BenchmarkTraceOverhead
+# single-run algorithms, and the Delta-Judgment ablation; plus the query
+# executor and join paths, which live in internal/engine next to the
+# reference executor and forced-path switches they compare against.
+BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkAppendWAL|BenchmarkTraceOverhead
+BENCH_ENGINE  := BenchmarkExecuteMovieLens|BenchmarkJoinMovieLens|BenchmarkJoinTriangle
 BENCH_SUMMARIZE := BenchmarkSweeperRunD
 BENCH_COUNT   ?= 1
 BENCH_TIME    ?= 3x
 BENCH_OUT     ?= bench.txt
 BENCH_JSON    ?= BENCH_10.json
 
-.PHONY: build test race bench benchgate fuzz fmt vet lint qagcheck crash ci e2e serve
+.PHONY: build test race bench benchgate fuzz fmt vet lint qagcheck crash ci e2e serve loc
 
 build:
 	go build ./...
@@ -54,6 +57,7 @@ crash:
 # so the perf trajectory can be diffed across PRs without text parsing.
 bench:
 	go test -run '^$$' -bench '$(BENCH_ROOT)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee $(BENCH_OUT)
+	go test -run '^$$' -bench '$(BENCH_ENGINE)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/engine/ | tee -a $(BENCH_OUT)
 	go test -run '^$$' -bench '$(BENCH_SUMMARIZE)' -benchmem -benchtime 50x -count $(BENCH_COUNT) ./internal/summarize/ | tee -a $(BENCH_OUT)
 	go run ./cmd/benchjson < $(BENCH_OUT) > $(BENCH_JSON)
 
@@ -69,6 +73,16 @@ benchgate: bench
 fuzz:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzExec -fuzztime 30s ./internal/engine/
+
+# loc prints production and test Go line counts per package directory
+# (testdata and the separate qagbench module excluded), then the totals.
+loc:
+	@find . -name '*.go' -not -path './qagbench/*' -not -path '*/testdata/*' -not -path './.bench_build/*' | \
+	awk '{ d = $$0; sub(/\/[^\/]*$$/, "", d); kind = ($$0 ~ /_test\.go$$/) ? "test" : "prod"; \
+	while ((getline line < $$0) > 0) { n[d, kind]++; tot[kind]++ } close($$0); dirs[d] = 1 } \
+	END { printf "%-40s %8s %8s\n", "package", "prod", "test"; \
+	for (d in dirs) printf "%-40s %8d %8d\n", d, n[d, "prod"], n[d, "test"] | "sort"; close("sort"); \
+	printf "%-40s %8d %8d\n", "total", tot["prod"], tot["test"] }'
 
 # e2e builds qagviewd and drives its session/solution/diff endpoints.
 e2e:

@@ -582,51 +582,6 @@ func BenchmarkEngineAggregate(b *testing.B) {
 	}
 }
 
-// BenchmarkExecuteMovieLens compares the row-at-a-time reference executor
-// with the vectorized, morsel-parallel pipeline on the MovieLens workload:
-// the running example's selective query (WHERE + HAVING) and a full-scan
-// grouping, sequential and parallel. The executors are proven bit-identical
-// (see internal/engine), so this measures pure execution cost.
-func BenchmarkExecuteMovieLens(b *testing.B) {
-	s := getState(b)
-	selective, err := movielens.Query(4, 50, "genre_adventure = 1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	fullscan, err := movielens.Query(4, 0, "")
-	if err != nil {
-		b.Fatal(err)
-	}
-	variants := []struct {
-		name string
-		opts []qagview.QueryOption
-	}{
-		{"reference", []qagview.QueryOption{qagview.ExecReference()}},
-		{"vec_par1", []qagview.QueryOption{qagview.ExecParallelism(1)}},
-		{"vec_par8", []qagview.QueryOption{qagview.ExecParallelism(8)}},
-	}
-	for _, q := range []struct{ name, sql string }{
-		{"selective", selective},
-		{"fullscan", fullscan},
-	} {
-		for _, v := range variants {
-			b.Run(q.name+"/"+v.name, func(b *testing.B) {
-				// Warm the dictionary-code cache and executor pools so the
-				// loop measures steady-state (refresh-path) execution.
-				if _, err := s.env.ML.Query(q.sql, v.opts...); err != nil {
-					b.Fatal(err)
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.env.ML.Query(q.sql, v.opts...); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkAppendWAL measures the durable append path behind live-table
 // writes when qagviewd runs with -wal: every record is CRC-framed, written,
 // and fsynced before the caller's ack. The serial case pays a full fsync
@@ -673,112 +628,6 @@ func BenchmarkAppendWAL(b *testing.B) {
 			}
 		})
 	})
-}
-
-// BenchmarkJoinMovieLens measures the multi-table path on the MovieLens star
-// schema: the running example's aggregate over ratings JOIN users JOIN
-// movies (acyclic, so the auto rule picks left-deep hash joins), on packed
-// and string build keys and across worker counts, plus the forced
-// worst-case-optimal plan for comparison. All variants are bit-identical
-// to the nested-loop reference (see internal/engine and internal/movielens
-// equivalence tests); this measures pure join + aggregation cost.
-func BenchmarkJoinMovieLens(b *testing.B) {
-	star, err := movielens.GenerateStar(movielens.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := qagview.NewDB()
-	for _, r := range star.Tables() {
-		if err := db.Register(r); err != nil {
-			b.Fatal(err)
-		}
-	}
-	sql, err := movielens.JoinQuery(4, 50, "genre_adventure = 1")
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, v := range []struct {
-		name string
-		opts []qagview.QueryOption
-	}{
-		{"hash_par1", []qagview.QueryOption{qagview.ExecParallelism(1)}},
-		{"hash_par8", []qagview.QueryOption{qagview.ExecParallelism(8)}},
-		{"hash_par8_strkeys", []qagview.QueryOption{qagview.ExecParallelism(8), qagview.ExecStringKeys()}},
-		{"wcoj_par8", []qagview.QueryOption{qagview.ExecParallelism(8), qagview.ExecGenericJoin()}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			// Warm the dictionary and column-group caches so the loop
-			// measures steady-state execution, not one-time indexing.
-			if _, err := db.Query(sql, v.opts...); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(sql, v.opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkJoinTriangle measures the worst-case-optimal path where it earns
-// its name: counting triangles in a random directed graph. The join graph is
-// cyclic, so the auto rule runs leapfrog (output-optimal); the forced binary
-// hash-join plan materializes the quadratic open-wedge intermediate first —
-// the asymptotic blowup the WCOJ path exists to avoid.
-func BenchmarkJoinTriangle(b *testing.B) {
-	// Hub-skewed graph: half the edges touch one of a few hub nodes, so the
-	// open-wedge intermediate (hub degree squared) dwarfs the triangle count
-	// — the regime the worst-case-optimal path is built for.
-	const nodes, edges, hubs = 4000, 20000, 6
-	rng := rand.New(rand.NewSource(11))
-	src := make([]int64, edges)
-	dst := make([]int64, edges)
-	for i := range src {
-		src[i] = int64(rng.Intn(nodes))
-		dst[i] = int64(rng.Intn(nodes))
-		if i%2 == 0 {
-			if i%4 == 0 {
-				src[i] = int64(rng.Intn(hubs))
-			} else {
-				dst[i] = int64(rng.Intn(hubs))
-			}
-		}
-	}
-	rel, err := qagview.FromColumns("edges",
-		qagview.IntColumn("src", src), qagview.IntColumn("dst", dst))
-	if err != nil {
-		b.Fatal(err)
-	}
-	db := qagview.NewDB()
-	if err := db.Register(rel); err != nil {
-		b.Fatal(err)
-	}
-	const sql = `SELECT e1.src, count(*) AS c FROM edges e1
-		JOIN edges e2 ON e1.dst = e2.src
-		JOIN edges e3 ON e2.dst = e3.src AND e3.dst = e1.src
-		GROUP BY e1.src ORDER BY c DESC LIMIT 20`
-	for _, v := range []struct {
-		name string
-		opts []qagview.QueryOption
-	}{
-		{"wcoj_par1", []qagview.QueryOption{qagview.ExecParallelism(1)}},
-		{"wcoj_par8", []qagview.QueryOption{qagview.ExecParallelism(8)}},
-		{"hash_par8", []qagview.QueryOption{qagview.ExecParallelism(8), qagview.ExecHashJoin()}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			if _, err := db.Query(sql, v.opts...); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Query(sql, v.opts...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkTraceOverhead gates the tentpole's "near-zero cost when off"

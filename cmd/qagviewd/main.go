@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"qagview/internal/movielens"
+	"qagview/internal/relation"
 	"qagview/internal/server"
 	"qagview/internal/tpcds"
 )
@@ -113,47 +114,21 @@ func run() error {
 	srv := server.New(cfg)
 	defer srv.Close()
 
-	switch *sample {
-	case "":
-	case "movielens":
+	if *sample != "" {
 		mlCfg := movielens.DefaultConfig()
 		if *sampleRatings > 0 {
 			mlCfg.Ratings = *sampleRatings
 		}
-		star, err := movielens.GenerateStar(mlCfg)
+		rels, err := sampleTables(*sample, mlCfg, tpcds.DefaultConfig())
 		if err != nil {
 			return err
 		}
-		flat, err := movielens.Denormalize(star)
-		if err != nil {
-			return err
-		}
-		// Register the denormalized RatingTable for the paper's single-table
-		// running example, plus the star's base tables so multi-table SQL
-		// (FROM ratings JOIN users ... JOIN movies ...) works out of the box.
-		for _, rel := range append(star.Tables(), flat) {
+		for _, rel := range rels {
 			if err := srv.Register(rel); err != nil {
 				return err
 			}
 			logger.Info("loaded sample table", "table", rel.Name(), "rows", rel.NumRows())
 		}
-	case "tpcds":
-		flat, err := tpcds.Generate(tpcds.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		star, err := tpcds.GenerateStar(tpcds.DefaultConfig())
-		if err != nil {
-			return err
-		}
-		for _, rel := range append(star.Tables(), flat) {
-			if err := srv.Register(rel); err != nil {
-				return err
-			}
-			logger.Info("loaded sample table", "table", rel.Name(), "rows", rel.NumRows())
-		}
-	default:
-		return fmt.Errorf("unknown -sample %q (want movielens or tpcds)", *sample)
 	}
 
 	// Recovery runs after sample preloads (samples are regenerated
@@ -220,5 +195,37 @@ func run() error {
 		}
 		logger.Info("drained cleanly")
 		return nil
+	}
+}
+
+// sampleTables generates the -sample preload: the denormalized table for
+// the paper's single-table queries (RatingTable, store_sales) plus the
+// star's base tables, so multi-table SQL (FROM ratings JOIN users ...,
+// FROM store_sales_fact JOIN item ...) works out of the box. Every table
+// name is distinct, so registering them all loses none.
+func sampleTables(sample string, mlCfg movielens.Config, tpCfg tpcds.Config) ([]*relation.Relation, error) {
+	switch sample {
+	case "movielens":
+		star, err := movielens.GenerateStar(mlCfg)
+		if err != nil {
+			return nil, err
+		}
+		flat, err := movielens.Denormalize(star)
+		if err != nil {
+			return nil, err
+		}
+		return append(star.Tables(), flat), nil
+	case "tpcds":
+		flat, err := tpcds.Generate(tpCfg)
+		if err != nil {
+			return nil, err
+		}
+		star, err := tpcds.GenerateStar(tpCfg)
+		if err != nil {
+			return nil, err
+		}
+		return append(star.Tables(), flat), nil
+	default:
+		return nil, fmt.Errorf("unknown -sample %q (want movielens or tpcds)", sample)
 	}
 }

@@ -2,9 +2,7 @@ package engine
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -42,20 +40,6 @@ type Result struct {
 // N returns the number of result tuples.
 func (r *Result) N() int { return len(r.Rows) }
 
-// aggState accumulates one group's aggregate and HAVING aggregates in the
-// reference executor.
-type aggState struct {
-	row  []string
-	sum  float64
-	cnt  int64
-	min  float64
-	max  float64
-	hsum []float64
-	hcnt []int64
-	hmin []float64
-	hmax []float64
-}
-
 // Catalog resolves table names for Execute. The root qagview.DB type
 // implements it.
 type Catalog interface {
@@ -68,7 +52,8 @@ type joinMode int
 
 const (
 	// joinAuto picks the hash path for acyclic join graphs and the
-	// worst-case-optimal generic path for cyclic ones.
+	// worst-case-optimal generic path for cyclic ones; production always
+	// runs it.
 	joinAuto joinMode = iota
 	// joinHash forces the left-deep binary hash-join plan everywhere.
 	joinHash
@@ -76,11 +61,12 @@ const (
 	joinGeneric
 )
 
-// execConfig collects execution options.
+// execConfig collects execution options. stringKeys and joins are set only
+// by the test-only overrides in export_test.go, which force each key and
+// join path so the equivalence suites can cover all of them.
 type execConfig struct {
 	par        int
 	ctx        context.Context
-	reference  bool
 	stringKeys bool
 	joins      joinMode
 	profile    bool
@@ -107,37 +93,6 @@ func ExecContext(ctx context.Context) ExecOption {
 	return func(c *execConfig) { c.ctx = ctx }
 }
 
-// ExecReference forces the row-at-a-time reference executor that the
-// vectorized pipeline is proven bit-identical to, for ablations and
-// differential tests.
-func ExecReference() ExecOption {
-	return func(c *execConfig) { c.reference = true }
-}
-
-// ExecStringKeys forces the vectorized executor's string-key fallback over
-// the packed uint64 group keys (the fallback engages automatically when the
-// group columns' dictionary widths exceed 64 bits), for ablations; output is
-// identical either way. The same switch governs hash-join build keys.
-func ExecStringKeys() ExecOption {
-	return func(c *execConfig) { c.stringKeys = true }
-}
-
-// ExecHashJoin forces the left-deep binary hash-join plan even on cyclic
-// join graphs, where the auto rule would pick the worst-case-optimal path.
-// Output is bit-identical either way; the binary plan can materialize
-// asymptotically larger intermediates (the blowup BenchmarkJoinTriangle
-// measures).
-func ExecHashJoin() ExecOption {
-	return func(c *execConfig) { c.joins = joinHash }
-}
-
-// ExecGenericJoin forces the worst-case-optimal leapfrog path even on
-// acyclic join graphs, where the auto rule would pick hash joins. Output is
-// bit-identical either way.
-func ExecGenericJoin() ExecOption {
-	return func(c *execConfig) { c.joins = joinGeneric }
-}
-
 // ExecProfile collects a per-operator execution profile (rows in/out,
 // batches, wall time) into Result.Profile. Profiling observes only — the
 // result rows and values are bit-identical with it on or off.
@@ -148,7 +103,7 @@ func ExecProfile() ExecOption {
 // Execute runs a parsed query against the catalog. Multi-table queries join
 // their FROM relations first (see join.go) and aggregate over the joined
 // rows; both forms run the same vectorized pipeline and stay bit-identical
-// to the reference executor at every parallelism.
+// to the reference executor (reference_test.go) at every parallelism.
 func Execute(cat Catalog, q *Query, opts ...ExecOption) (*Result, error) {
 	cfg := execConfig{par: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
@@ -188,26 +143,7 @@ func execute(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.reference {
-		return executeProfiledRef(p, cfg)
-	}
 	return executeVec(p, cfg)
-}
-
-// executeProfiledRef runs the reference executor, reporting it as a
-// single opaque operator when profiling (the row-at-a-time oracle has no
-// vectorized operator structure to expose).
-func executeProfiledRef(p *execPlan, cfg execConfig) (*Result, error) {
-	st := cfg.prof.op("reference")
-	t0 := profNow(st)
-	_, sp := obs.StartSpan(cfg.ctx, "reference")
-	res, err := executeRef(p)
-	sp.End()
-	st.addWall(t0)
-	if err == nil {
-		st.addRows(int64(p.rel.NumRows()), int64(len(res.Rows)))
-	}
-	return res, err
 }
 
 // ExecuteSQL parses and runs sql against the catalog.
@@ -325,116 +261,6 @@ func planQuery(rel *relation.Relation, q *Query) (*execPlan, error) {
 	return p, nil
 }
 
-// executeRef is the row-at-a-time reference executor: per-row predicate
-// closures, a rendered string key per row, and a Go map of group states. The
-// vectorized pipeline (executeVec) is proven bit-identical to it; it stays as
-// the differential-testing oracle, per the playbook of PRs 2 and 3.
-func executeRef(p *execPlan) (*Result, error) {
-	q := p.q
-	preds := compilePredicates(p.preds)
-
-	// Group. Keys are length-prefixed rendered values: a plain separator
-	// byte would merge distinct groups whose values contain the separator
-	// (see TestExecuteGroupKeyNulSeparator).
-	groups := make(map[string]*aggState)
-	var order []string // group keys in first-seen order, for determinism
-	var kb []byte      // reused key scratch
-	for row := 0; row < p.rel.NumRows(); row++ {
-		match := true
-		for _, pr := range preds {
-			if !pr(row) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		kb = kb[:0]
-		for _, c := range p.groupCols {
-			s := c.StringAt(row)
-			kb = binary.AppendUvarint(kb, uint64(len(s)))
-			kb = append(kb, s...)
-		}
-		st, ok := groups[string(kb)]
-		if !ok {
-			vals := make([]string, len(p.groupCols))
-			for i, c := range p.groupCols {
-				vals[i] = c.StringAt(row)
-			}
-			st = &aggState{
-				row:  vals,
-				min:  math.Inf(1),
-				max:  math.Inf(-1),
-				hsum: make([]float64, len(q.Having)),
-				hcnt: make([]int64, len(q.Having)),
-				hmin: make([]float64, len(q.Having)),
-				hmax: make([]float64, len(q.Having)),
-			}
-			for i := range st.hmin {
-				st.hmin[i] = math.Inf(1)
-				st.hmax[i] = math.Inf(-1)
-			}
-			key := string(kb)
-			groups[key] = st
-			order = append(order, key)
-		}
-		st.cnt++
-		if p.aggCol != nil {
-			v, err := p.aggCol.FloatAt(row)
-			if err != nil {
-				return nil, err
-			}
-			st.sum += v
-			if v < st.min {
-				st.min = v
-			}
-			if v > st.max {
-				st.max = v
-			}
-		}
-		for i := range q.Having {
-			if p.havingCols[i] == nil {
-				st.hcnt[i]++
-				continue
-			}
-			v, err := p.havingCols[i].FloatAt(row)
-			if err != nil {
-				return nil, err
-			}
-			st.hcnt[i]++
-			st.hsum[i] += v
-			if v < st.hmin[i] {
-				st.hmin[i] = v
-			}
-			if v > st.hmax[i] {
-				st.hmax[i] = v
-			}
-		}
-	}
-
-	// HAVING filter and final value.
-	res := &Result{GroupBy: append([]string(nil), q.GroupBy...), ValName: q.Agg.Alias, Table: q.Table, Tables: q.Tables()}
-	for _, key := range order {
-		st := groups[key]
-		keep := true
-		for i, h := range q.Having {
-			v := finalize(h.Agg.Fn, st.hsum[i], st.hcnt[i], st.hmin[i], st.hmax[i])
-			if !cmpFloat(v, h.Op, h.Num) {
-				keep = false
-				break
-			}
-		}
-		if !keep {
-			continue
-		}
-		res.Rows = append(res.Rows, st.row)
-		res.Vals = append(res.Vals, finalize(q.Agg.Fn, st.sum, st.cnt, st.min, st.max))
-	}
-	orderAndLimit(q, res)
-	return res, nil
-}
-
 // orderAndLimit applies ORDER BY and LIMIT in place. Sorting is stable so
 // first-seen group order breaks ties deterministically; both executors
 // produce that order, so their sorted output is bit-identical too.
@@ -500,31 +326,4 @@ func cmpFloat(a float64, op CmpOp, b float64) bool {
 	default:
 		return false
 	}
-}
-
-// compilePredicates turns resolved WHERE conjuncts into per-row closures.
-// Numeric literals compare numerically against numeric columns; string
-// literals compare against string columns.
-func compilePredicates(preds []predBind) []func(int) bool {
-	out := make([]func(int) bool, 0, len(preds))
-	for _, p := range preds {
-		p := p
-		if p.lit.IsNum {
-			col := p.col
-			out = append(out, func(row int) bool {
-				v, _ := col.FloatAt(row)
-				return cmpFloat(v, p.op, p.lit.Num)
-			})
-			continue
-		}
-		col := p.col
-		out = append(out, func(row int) bool {
-			eq := col.Str[row] == p.lit.Str
-			if p.op == OpEq {
-				return eq
-			}
-			return !eq
-		})
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -173,21 +174,21 @@ func FuzzExec(f *testing.F) {
 		opt  []ExecOption
 	}{
 		{"auto", nil},
-		{"hash", []ExecOption{ExecHashJoin()}},
-		{"generic", []ExecOption{ExecGenericJoin()}},
+		{"hash", []ExecOption{execHashJoin()}},
+		{"generic", []ExecOption{execGenericJoin()}},
 	}
 	f.Fuzz(func(t *testing.T, sql string) {
 		q, err := Parse(sql)
 		if err != nil {
 			return
 		}
-		want, refErr := Execute(cat, q, ExecReference())
+		want, refErr := executeReference(context.Background(), cat, q)
 		for _, par := range []int{1, 8} {
 			for _, strKeys := range []bool{false, true} {
 				for _, mode := range joinModes {
 					opts := append([]ExecOption{ExecParallelism(par)}, mode.opt...)
 					if strKeys {
-						opts = append(opts, ExecStringKeys())
+						opts = append(opts, execStringKeys())
 					}
 					got, err := Execute(cat, q, opts...)
 					if (err == nil) != (refErr == nil) {

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -22,13 +21,14 @@ import (
 // by FROM-position row ids, the order the nested-loop reference produces
 // naturally; and materialize gathers the referenced columns into an
 // anonymous joined relation that the unchanged single-table executors
-// aggregate over. Three algorithms produce the same tuples bit-identically:
+// aggregate over. Two production algorithms produce the same tuples, bit
+// for bit, as the FROM-order nested-loop oracle (nestedLoopTuples, in
+// reference_test.go):
 //
-//   - nestedLoopTuples: FROM-order nested loops, the reference oracle;
 //   - hashTuples: a left-deep binary hash-join plan with a morsel-parallel
-//     probe (the default for acyclic join graphs);
-//   - leapfrogTuples (wcoj.go): the worst-case-optimal generic join (the
-//     default for cyclic graphs, where binary plans can materialize
+//     probe (chosen for acyclic join graphs);
+//   - leapfrogTuples (wcoj.go): the worst-case-optimal generic join (chosen
+//     for cyclic graphs, where binary plans can materialize
 //     asymptotically larger intermediates).
 //
 // Join keys use value identity per equivalence class of equated columns:
@@ -56,21 +56,7 @@ type boundCond struct {
 	lt, lc int // earlier table and column index
 	rt, rc int // newly joined table and column index
 	lcol   *relation.Column
-	rcol   *relation.Column
 	key    joinKeyKind
-}
-
-// match evaluates the condition between one row of each side under the
-// class's key domain.
-func (c *boundCond) match(lrow, rrow int32) bool {
-	switch c.key {
-	case kkString:
-		return c.lcol.Str[lrow] == c.rcol.Str[rrow]
-	case kkInt:
-		return c.lcol.Int[lrow] == c.rcol.Int[rrow]
-	default:
-		return numKeyBits(c.lcol, lrow) == numKeyBits(c.rcol, rrow)
-	}
 }
 
 // joinRef is one distinct column reference the aggregation reads, in
@@ -174,7 +160,7 @@ func planJoin(cat Catalog, q *Query) (*joinPlan, error) {
 			jp.steps[i] = append(jp.steps[i], len(jp.conds))
 			jp.conds = append(jp.conds, boundCond{
 				lt: lt, lc: lc, rt: rt, rc: rc,
-				lcol: jp.rels[lt].Column(lc), rcol: jp.rels[rt].Column(rc),
+				lcol: jp.rels[lt].Column(lc),
 			})
 		}
 	}
@@ -469,12 +455,9 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 		return nil, err
 	}
 	var tuples [][]int32
-	switch {
-	case cfg.reference:
-		tuples, err = jp.tuplesOp(cfg, "join.nestedloop", jp.nestedLoopTuples)
-	case cfg.joins == joinGeneric || (cfg.joins == joinAuto && jp.cyclic):
-		tuples, err = jp.tuplesOp(cfg, "join.leapfrog", jp.leapfrogTuples)
-	default:
+	if cfg.joins == joinGeneric || (cfg.joins == joinAuto && jp.cyclic) {
+		tuples, err = jp.leapfrogOp(cfg)
+	} else {
 		tuples, err = jp.hashTuples(cfg)
 	}
 	if err != nil {
@@ -504,19 +487,16 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.reference {
-		return executeProfiledRef(p, cfg)
-	}
 	return executeVec(p, cfg)
 }
 
-// tuplesOp runs one whole-join tuple producer (the nested-loop reference
-// or the worst-case-optimal leapfrog) under a span and profile operator.
-func (jp *joinPlan) tuplesOp(cfg execConfig, name string, f func(context.Context) ([][]int32, error)) ([][]int32, error) {
-	st := cfg.prof.op(name)
+// leapfrogOp runs the worst-case-optimal join under a span and profile
+// operator.
+func (jp *joinPlan) leapfrogOp(cfg execConfig) ([][]int32, error) {
+	st := cfg.prof.op("join.leapfrog")
 	t0 := profNow(st)
-	_, sp := obs.StartSpan(cfg.ctx, name)
-	tuples, err := f(cfg.ctx)
+	_, sp := obs.StartSpan(cfg.ctx, "join.leapfrog")
+	tuples, err := jp.leapfrogTuples(cfg.ctx)
 	sp.End()
 	st.addWall(t0)
 	if err != nil {
@@ -528,58 +508,6 @@ func (jp *joinPlan) tuplesOp(cfg execConfig, name string, f func(context.Context
 	}
 	st.addRows(0, int64(n))
 	sp.SetInt("tuples", int64(n))
-	return tuples, nil
-}
-
-// ---- nested-loop reference ----
-
-// nestedLoopTuples is the reference join: FROM-order nested loops over
-// ascending row ids, evaluating every ON conjunct as a per-row comparison
-// at the step that binds its later table. Its output order — lexicographic
-// by the FROM-position row-id tuple — is the canonical order the optimized
-// paths are proven bit-identical to.
-func (jp *joinPlan) nestedLoopTuples(ctx context.Context) ([][]int32, error) {
-	nt := len(jp.rels)
-	tuples := make([][]int32, nt)
-	cur := make([]int32, nt)
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == nt {
-			for t := range cur {
-				tuples[t] = append(tuples[t], cur[t])
-			}
-			return nil
-		}
-		var conds []int
-		if depth >= 1 {
-			conds = jp.steps[depth-1]
-		}
-		n := jp.rels[depth].NumRows()
-		for r := 0; r < n; r++ {
-			if depth == 0 && r%morselRows == 0 && ctx != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			ok := true
-			for _, ci := range conds {
-				c := &jp.conds[ci]
-				if !c.match(cur[c.lt], int32(r)) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			cur[depth] = int32(r)
-			if err := rec(depth + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := rec(0); err != nil {
-		return nil, err
-	}
 	return tuples, nil
 }
 

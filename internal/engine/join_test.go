@@ -19,7 +19,7 @@ import (
 // bit for bit.
 func joinGrid(t *testing.T, cat Catalog, sql string) {
 	t.Helper()
-	want, err := ExecuteSQL(cat, sql, ExecReference())
+	want, err := referenceSQL(cat, sql)
 	if err != nil {
 		t.Fatalf("reference: %v (query %s)", err, sql)
 	}
@@ -28,13 +28,13 @@ func joinGrid(t *testing.T, cat Catalog, sql string) {
 			for _, mode := range []string{"auto", "hash", "generic"} {
 				opts := []ExecOption{ExecParallelism(par)}
 				if strKeys {
-					opts = append(opts, ExecStringKeys())
+					opts = append(opts, execStringKeys())
 				}
 				switch mode {
 				case "hash":
-					opts = append(opts, ExecHashJoin())
+					opts = append(opts, execHashJoin())
 				case "generic":
-					opts = append(opts, ExecGenericJoin())
+					opts = append(opts, execGenericJoin())
 				}
 				got, err := ExecuteSQL(cat, sql, opts...)
 				if err != nil {
@@ -253,7 +253,7 @@ func TestJoinQualifiedSingleTable(t *testing.T) {
 		if res.N() == 0 {
 			t.Fatalf("%s: empty result", sql)
 		}
-		ref, err := ExecuteSQL(cat, sql, ExecReference())
+		ref, err := referenceSQL(cat, sql)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -306,7 +306,7 @@ func TestJoinPlanErrors(t *testing.T) {
 	}
 	// Reference and vectorized paths fail identically.
 	for _, c := range cases {
-		_, errRef := ExecuteSQL(cat, c.sql, ExecReference())
+		_, errRef := referenceSQL(cat, c.sql)
 		_, errVec := ExecuteSQL(cat, c.sql, ExecParallelism(4))
 		if fmt.Sprint(errRef) != fmt.Sprint(errVec) {
 			t.Fatalf("%s: reference error %q != vectorized error %q", c.sql, errRef, errVec)
@@ -354,10 +354,16 @@ func TestJoinContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	sql := "select e1.src, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src join edges e3 on e2.dst = e3.src and e3.dst = e1.src group by e1.src order by c desc"
+	q, err := Parse(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := executeReference(ctx, cat, q); err != context.Canceled {
+		t.Fatalf("reference: err = %v, want context.Canceled", err)
+	}
 	for _, opts := range [][]ExecOption{
-		{ExecReference(), ExecContext(ctx)},
-		{ExecParallelism(8), ExecContext(ctx), ExecHashJoin()},
-		{ExecParallelism(1), ExecContext(ctx), ExecHashJoin()},
+		{ExecParallelism(8), ExecContext(ctx), execHashJoin()},
+		{ExecParallelism(1), ExecContext(ctx), execHashJoin()},
 		{ExecParallelism(1), ExecContext(ctx)}, // leapfrog
 	} {
 		if _, err := ExecuteSQL(cat, sql, opts...); err != context.Canceled {

@@ -136,7 +136,7 @@ func TestEquivalenceUnderTracing(t *testing.T) {
 		"select a, count(*) as c from t where g = 1 group by a order by c desc limit 3",
 	}
 	for _, sql := range queries {
-		want, err := ExecuteSQL(cat, sql, ExecReference())
+		want, err := referenceSQL(cat, sql)
 		if err != nil {
 			t.Fatalf("reference: %v", err)
 		}

@@ -22,12 +22,13 @@ import (
 // into the global group table.
 //
 // The merge is what makes the output bit-identical to the row-at-a-time
-// reference (executeRef) at every worker count: morsels are contiguous
-// ascending row ranges merged in order, so groups appear in the reference's
-// first-seen order, and all float accumulation (sums, HAVING aggregates)
-// happens inside the merge, row by row in global row order — workers never
-// add two floats. The merge's hash-probe cost is one global-table probe per
-// morsel-local group (not per row); its per-row cost is array arithmetic.
+// reference (executeRef, a test-only oracle) at every worker count: morsels
+// are contiguous ascending row ranges merged in order, so groups appear in
+// the reference's first-seen order, and all float accumulation (sums,
+// HAVING aggregates) happens inside the merge, row by row in global row
+// order — workers never add two floats. The merge's hash-probe cost is one
+// global-table probe per morsel-local group (not per row); its per-row cost
+// is array arithmetic.
 //
 // Morsel buffers and the global table are pooled and reset across calls, so
 // steady-state execution (session refreshes re-running their query on every

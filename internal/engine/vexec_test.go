@@ -42,7 +42,7 @@ func assertBitIdentical(t *testing.T, label string, want, got *Result) {
 // every combination reproduces the reference bit for bit.
 func execGrid(t *testing.T, cat Catalog, sql string) {
 	t.Helper()
-	want, err := ExecuteSQL(cat, sql, ExecReference())
+	want, err := referenceSQL(cat, sql)
 	if err != nil {
 		t.Fatalf("reference: %v (query %s)", err, sql)
 	}
@@ -50,7 +50,7 @@ func execGrid(t *testing.T, cat Catalog, sql string) {
 		for _, strKeys := range []bool{false, true} {
 			opts := []ExecOption{ExecParallelism(par)}
 			if strKeys {
-				opts = append(opts, ExecStringKeys())
+				opts = append(opts, execStringKeys())
 			}
 			got, err := ExecuteSQL(cat, sql, opts...)
 			if err != nil {
@@ -136,7 +136,7 @@ func TestExecuteVecMatchesReferenceSynthetic(t *testing.T) {
 		"select a, b, g, avg(x) as val from t group by a, b, g having count(*) > 10 and max(x) >= 1 order by val desc limit 7",
 		"select a, avg(x) as val from t group by a limit 3",
 		// Five near-unique group columns: dictionary widths overflow one
-		// word, so even without ExecStringKeys this exercises the fallback.
+		// word, so even without execStringKeys this exercises the fallback.
 		"select u0, u1, u2, u3, u4, sum(x) as val from t group by u0, u1, u2, u3, u4 order by val desc limit 20",
 	}
 	for _, sql := range queries {
@@ -167,12 +167,12 @@ func TestExecuteGroupKeyNulSeparator(t *testing.T) {
 		relation.StringCol("s2", []string{"b", "\x00b", "b", "\x00b"}),
 	)}
 	sql := "select s1, s2, count(*) as c from t group by s1, s2 order by c desc"
-	for _, opts := range [][]ExecOption{
-		{ExecReference()},
-		{ExecParallelism(1)},
-		{ExecParallelism(1), ExecStringKeys()},
+	for _, run := range []func() (*Result, error){
+		func() (*Result, error) { return referenceSQL(cat, sql) },
+		func() (*Result, error) { return ExecuteSQL(cat, sql, ExecParallelism(1)) },
+		func() (*Result, error) { return ExecuteSQL(cat, sql, ExecParallelism(1), execStringKeys()) },
 	} {
-		res, err := ExecuteSQL(cat, sql, opts...)
+		res, err := run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +265,7 @@ func TestExecuteVecPooledReuse(t *testing.T) {
 	}
 	wants := make([]*Result, len(queries))
 	for i, sql := range queries {
-		w, err := ExecuteSQL(cat, sql, ExecReference())
+		w, err := referenceSQL(cat, sql)
 		if err != nil {
 			t.Fatal(err)
 		}

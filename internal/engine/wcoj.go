@@ -12,7 +12,7 @@ import (
 // per-relation tries of sorted dictionary codes. It is selected when the
 // join graph is cyclic — where any left-deep binary plan can materialize an
 // intermediate asymptotically larger than the output (the triangle query's
-// |E|^2 vs. AGM-bound |E|^{3/2}) — and on demand via ExecGenericJoin.
+// |E|^2 vs. AGM-bound |E|^{3/2}); tests also force it on acyclic graphs.
 //
 // Join variables are the equivalence classes of equated columns
 // (joinPlan.varOccs). Each variable gets a joint code space: the union of

@@ -2,8 +2,6 @@ package movielens
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -179,76 +177,6 @@ func TestQueryTemplate(t *testing.T) {
 	}
 	if strings.Contains(noHaving, "HAVING") || strings.Contains(noHaving, "WHERE") {
 		t.Errorf("unexpected clauses: %s", noHaving)
-	}
-}
-
-// TestStarJoinMatchesFlat pins the tentpole loader property: aggregates over
-// the star schema's SQL join reproduce the denormalized RatingTable's bit
-// for bit, on the reference, hash, and worst-case-optimal join paths.
-func TestStarJoinMatchesFlat(t *testing.T) {
-	cfg := Config{Users: 60, Movies: 80, Ratings: 900, Seed: 3}
-	star, err := GenerateStar(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Denormalize(star)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatCat := catalog{"RatingTable": flat}
-	starCat := catalog{}
-	for _, r := range star.Tables() {
-		starCat[r.Name()] = r
-	}
-	for _, m := range []int{2, 4} {
-		fq, err := Query(m, 0, "genre_adventure = 1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		jq, err := JoinQuery(m, 0, "genre_adventure = 1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := engine.ExecuteSQL(flatCat, fq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.N() == 0 {
-			t.Fatalf("flat query m=%d returned no groups", m)
-		}
-		for _, opts := range [][]engine.ExecOption{
-			{engine.ExecReference()},
-			{engine.ExecParallelism(1)},
-			{engine.ExecParallelism(8)},
-			{engine.ExecParallelism(8), engine.ExecStringKeys()},
-			{engine.ExecParallelism(2), engine.ExecGenericJoin()},
-		} {
-			got, err := engine.ExecuteSQL(starCat, jq, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertSameAnswers(t, fmt.Sprintf("m=%d opts=%d", m, len(opts)), want, got)
-		}
-	}
-}
-
-// assertSameAnswers compares the answer space of two results bit for bit,
-// ignoring the FROM-shape headers (Table differs between flat and star).
-func assertSameAnswers(t *testing.T, label string, want, got *engine.Result) {
-	t.Helper()
-	if !reflect.DeepEqual(want.GroupBy, got.GroupBy) || want.ValName != got.ValName {
-		t.Fatalf("%s: header mismatch: (%v, %q) vs (%v, %q)", label, want.GroupBy, want.ValName, got.GroupBy, got.ValName)
-	}
-	if !reflect.DeepEqual(want.Rows, got.Rows) {
-		t.Fatalf("%s: rows mismatch:\nwant %v\ngot  %v", label, want.Rows, got.Rows)
-	}
-	if len(want.Vals) != len(got.Vals) {
-		t.Fatalf("%s: %d vals, want %d", label, len(got.Vals), len(want.Vals))
-	}
-	for i := range want.Vals {
-		if math.Float64bits(want.Vals[i]) != math.Float64bits(got.Vals[i]) {
-			t.Fatalf("%s: val[%d] bits differ: %v vs %v", label, i, want.Vals[i], got.Vals[i])
-		}
 	}
 }
 

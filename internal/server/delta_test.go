@@ -11,8 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"qagview"
 )
 
 func del(t *testing.T, ts *httptest.Server, path string) response {
@@ -352,11 +350,12 @@ func TestDeleteSession(t *testing.T) {
 }
 
 // TestRefreshBitIdenticalAcrossExecParallelism drives the full serving loop —
-// session build, live-table append, lazy refresh on re-create — on a server
-// running the row-at-a-time reference executor and on servers running the
-// vectorized executor at several worker counts. Every variant must serve the
-// same solutions before and after the data_version bump: query execution
-// settings tune cost, never output.
+// session build, live-table append, lazy refresh on re-create — on servers
+// running the executor at several worker counts. Every variant must serve
+// the solutions of the single-worker server before and after the
+// data_version bump: query execution settings tune cost, never output. The
+// query's answers on the same rows are checked against the reference
+// executor in internal/engine (TestServerRefreshRowsMatchReference).
 func TestRefreshBitIdenticalAcrossExecParallelism(t *testing.T) {
 	extra := [][]string{
 		{"A2", "B2", "C1", "500"},
@@ -375,11 +374,8 @@ func TestRefreshBitIdenticalAcrossExecParallelism(t *testing.T) {
 	type snap struct {
 		fresh, refreshed map[string]any
 	}
-	run := func(t *testing.T, reference bool, par int) snap {
-		srv, ts := testServer(t, Config{ExecParallelism: par})
-		if reference {
-			srv.db.execOpts = []qagview.QueryOption{qagview.ExecReference()}
-		}
+	run := func(t *testing.T, par int) snap {
+		_, ts := testServer(t, Config{ExecParallelism: par})
 		id := openSession(t, ts)
 		waitReady(t, ts, id)
 		fresh := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1&expand=1")
@@ -404,11 +400,11 @@ func TestRefreshBitIdenticalAcrossExecParallelism(t *testing.T) {
 		}
 		return snap{fresh: solutionView(fresh.body), refreshed: solutionView(refreshed.body)}
 	}
-	want := run(t, true, 0)
-	for _, par := range []int{1, 2, 8} {
-		got := run(t, false, par)
+	want := run(t, 1)
+	for _, par := range []int{0, 2, 8} {
+		got := run(t, par)
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("exec parallelism %d diverges from reference executor:\nwant %+v\ngot  %+v", par, want, got)
+			t.Fatalf("exec parallelism %d diverges from parallelism 1:\nwant %+v\ngot  %+v", par, want, got)
 		}
 	}
 }

@@ -220,6 +220,134 @@ func TestPromMetrics(t *testing.T) {
 	}
 }
 
+// TestTraceParamPerRoute pins what ?trace=1 does on each of the ten
+// instrumented routes: every one records a trace (retrievable at
+// /debug/traces, named by the route) with the global gate off, and only
+// POST /v1/queries and GET .../solution also inline the span tree in the
+// response body under "trace".
+func TestTraceParamPerRoute(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	id := openSession(t, ts)
+	waitReady(t, ts, id)
+	sess := "/v1/sessions/" + id
+	traceIDs := func() map[string]string {
+		list := get(t, ts, "/debug/traces")
+		out := map[string]string{}
+		for _, tr := range list.body["traces"].([]any) {
+			m := tr.(map[string]any)
+			out[m["id"].(string)] = m["name"].(string)
+		}
+		return out
+	}
+	cases := []struct {
+		route  string // the instrumented route label (and trace name)
+		method string
+		path   string // without the ?trace=1 parameter
+		body   any
+		code   int
+		inline bool
+	}{
+		{"POST /v1/tables", "POST", "/v1/tables", map[string]any{"name": "u", "csv": "a,v\nx,1\n"}, http.StatusCreated, false},
+		{"GET /v1/tables", "GET", "/v1/tables", nil, http.StatusOK, false},
+		{"POST /v1/tables/{id}/rows", "POST", "/v1/tables/u/rows", map[string]any{"rows": [][]string{{"y", "2"}}}, http.StatusOK, false},
+		{"POST /v1/queries", "POST", "/v1/queries", map[string]any{"sql": testSQL}, http.StatusOK, true},
+		{"POST /v1/sessions", "POST", "/v1/sessions", map[string]any{"sql": testSQL, "l": 8, "kmin": 1, "kmax": 6, "ds": []int{0, 1, 2}}, http.StatusOK, false},
+		{"GET /v1/sessions/{id}", "GET", sess, nil, http.StatusOK, false},
+		{"GET /v1/sessions/{id}/solution", "GET", sess + "/solution?k=3&d=1", nil, http.StatusOK, true},
+		{"GET /v1/sessions/{id}/guidance", "GET", sess + "/guidance", nil, http.StatusOK, false},
+		{"GET /v1/sessions/{id}/diff", "GET", sess + "/diff?k1=2&d1=1&k2=3&d2=1", nil, http.StatusOK, false},
+		{"DELETE /v1/sessions/{id}", "DELETE", sess, nil, http.StatusOK, false},
+	}
+	for _, c := range cases {
+		before := traceIDs()
+		path := c.path + "?trace=1"
+		if strings.Contains(c.path, "?") {
+			path = c.path + "&trace=1"
+		}
+		var resp response
+		switch c.method {
+		case "GET":
+			resp = get(t, ts, path)
+		case "POST":
+			resp = post(t, ts, path, c.body)
+		case "DELETE":
+			resp = del(t, ts, path)
+		}
+		if resp.code != c.code {
+			t.Fatalf("%s: status %d, want %d: %s", c.route, resp.code, c.code, resp.raw)
+		}
+		if _, ok := resp.body["trace"]; ok != c.inline {
+			t.Fatalf("%s: trace inlined = %v, want %v: %s", c.route, ok, c.inline, resp.raw)
+		}
+		recorded := false
+		for tid, name := range traceIDs() {
+			if _, old := before[tid]; !old && name == c.route {
+				recorded = true
+			}
+		}
+		if !recorded {
+			t.Fatalf("%s: ?trace=1 recorded no trace named after the route", c.route)
+		}
+	}
+}
+
+// TestPromMetricsStableOrder scrapes the exposition repeatedly after traffic
+// on several routes and status codes: the series must come out in the same
+// order every time (routes, then codes, sorted), so scrapes diff cleanly.
+func TestPromMetricsStableOrder(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	if r := post(t, ts, "/v1/queries", map[string]any{"sql": testSQL}); r.code != http.StatusOK {
+		t.Fatalf("query: %d %s", r.code, r.raw)
+	}
+	if r := post(t, ts, "/v1/queries", map[string]any{"sql": ""}); r.code != http.StatusBadRequest {
+		t.Fatalf("empty query: %d %s", r.code, r.raw)
+	}
+	if r := get(t, ts, "/v1/tables"); r.code != http.StatusOK {
+		t.Fatalf("list tables: %d %s", r.code, r.raw)
+	}
+	if r := get(t, ts, "/v1/sessions/nope"); r.code != http.StatusNotFound {
+		t.Fatalf("unknown session: %d %s", r.code, r.raw)
+	}
+	// series strips the values, which (uptime, heap) move between scrapes.
+	series := func() string {
+		scrape := get(t, ts, "/metrics?format=prometheus")
+		if scrape.code != http.StatusOK {
+			t.Fatalf("scrape: %d %s", scrape.code, scrape.raw)
+		}
+		var sb strings.Builder
+		for _, line := range strings.Split(scrape.raw, "\n") {
+			if i := strings.LastIndexByte(line, ' '); i >= 0 && !strings.HasPrefix(line, "#") {
+				line = line[:i]
+			}
+			sb.WriteString(line)
+			sb.WriteByte('\n')
+		}
+		return sb.String()
+	}
+	first := series()
+	for i := 0; i < 10; i++ {
+		if got := series(); got != first {
+			t.Fatalf("scrape %d lists series in a different order:\nfirst:\n%s\nnow:\n%s", i+2, first, got)
+		}
+	}
+	var requests []string
+	for _, line := range strings.Split(first, "\n") {
+		if strings.HasPrefix(line, "qagviewd_requests_total{") {
+			requests = append(requests, line)
+		}
+	}
+	want := []string{
+		`qagviewd_requests_total{route="GET /v1/sessions/{id}",code="404"}`,
+		`qagviewd_requests_total{route="GET /v1/tables",code="200"}`,
+		`qagviewd_requests_total{route="POST /v1/queries",code="200"}`,
+		`qagviewd_requests_total{route="POST /v1/queries",code="400"}`,
+		`qagviewd_requests_total{route="POST /v1/tables",code="201"}`,
+	}
+	if strings.Join(requests, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("request counters not in sorted order:\ngot\n%s\nwant\n%s", strings.Join(requests, "\n"), strings.Join(want, "\n"))
+	}
+}
+
 // TestMetricsScrapeObserveRace pins the satellite fix: quantile sorting must
 // not mutate or hold the ring under concurrent observes. Run under -race.
 func TestMetricsScrapeObserveRace(t *testing.T) {

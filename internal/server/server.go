@@ -24,6 +24,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -344,6 +345,7 @@ func New(cfg Config) *Server {
 	// Background store builds start their own traces (no request to attach
 	// to); the manager needs the tracer for that.
 	s.sessions.tracer = s.tracer
+	s.sessions.logger = logger
 	if cfg.WALDir != "" {
 		s.dur = newDurability(cfg.WALDir, cfg.WALCheckpointBytes)
 	}
@@ -471,12 +473,19 @@ func (s *Server) promMetrics(w http.ResponseWriter) {
 	var pw obs.PromWriter
 	pw.Family("qagviewd_uptime_seconds", "gauge", "Seconds since the server started.")
 	pw.Sample("qagviewd_uptime_seconds", uptime.Seconds())
+	// Routes and codes are emitted in sorted order, so successive scrapes
+	// list samples identically.
+	routeNames := sortedKeys(routes)
 	pw.Family("qagviewd_requests_total", "counter", "Requests served, by route and status code.")
-	pw.Family("qagviewd_request_latency_ms", "gauge", "Request latency quantiles over the recent-sample ring, by route.")
-	for route, rs := range routes {
-		for code, n := range rs.ByCode {
-			pw.Sample("qagviewd_requests_total", float64(n), "route", route, "code", code)
+	for _, route := range routeNames {
+		byCode := routes[route].ByCode
+		for _, code := range sortedKeys(byCode) {
+			pw.Sample("qagviewd_requests_total", float64(byCode[code]), "route", route, "code", code)
 		}
+	}
+	pw.Family("qagviewd_request_latency_ms", "gauge", "Request latency quantiles over the recent-sample ring, by route.")
+	for _, route := range routeNames {
+		rs := routes[route]
 		pw.Sample("qagviewd_request_latency_ms", rs.P50Ms, "route", route, "quantile", "0.5")
 		pw.Sample("qagviewd_request_latency_ms", rs.P99Ms, "route", route, "quantile", "0.99")
 	}
@@ -494,6 +503,7 @@ func (s *Server) promMetrics(w http.ResponseWriter) {
 		{"deletes", stats.Deletes}, {"refreshes", stats.Refreshes},
 		{"refresh_noops", stats.RefreshNoops}, {"refresh_errors", stats.RefreshErrors},
 		{"snapshot_loads", stats.SnapshotLoads}, {"snapshot_saves", stats.SnapshotSaves},
+		{"snapshot_save_errors", stats.SnapshotSaveErrors},
 	} {
 		pw.Sample("qagviewd_session_events_total", float64(ev.n), "event", ev.name)
 	}
@@ -543,6 +553,16 @@ func (s *Server) promMetrics(w http.ResponseWriter) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write([]byte(pw.String()))
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 func boolGauge(b bool) float64 {

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -441,6 +443,64 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	info3 := waitReady(t, ts3, id3)
 	if info3.body["from_snapshot"] != false {
 		t.Fatal("stale snapshot served for changed table data")
+	}
+}
+
+// lockedBuffer is an io.Writer safe for the concurrent writes of a logger
+// shared with background builds.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestSnapshotSaveErrorCounted points SnapshotDir below a regular file, so
+// every snapshot write fails (whatever the process's privileges): the
+// failure must be counted as the snapshot_save_errors session event, in the
+// JSON and the Prometheus renderings, and logged at Warn, while the session
+// keeps serving from memory.
+func TestSnapshotSaveErrorCounted(t *testing.T) {
+	blocker := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logs lockedBuffer
+	logger := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
+	_, ts := testServer(t, Config{SnapshotDir: filepath.Join(blocker, "snapshots"), Logger: logger})
+	id := openSession(t, ts)
+	waitReady(t, ts, id)
+	// The store is published before its snapshot is written; wait for the
+	// save attempt to be counted.
+	deadline := time.Now().Add(10 * time.Second)
+	for metricsEvents(t, ts)["snapshot_save_errors"].(float64) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("snapshot_save_errors never reached 1: %v", metricsEvents(t, ts))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if ev := metricsEvents(t, ts); ev["snapshot_saves"].(float64) != 0 {
+		t.Fatalf("failed save counted as a save: %v", ev)
+	}
+	scrape := get(t, ts, "/metrics?format=prometheus")
+	if !strings.Contains(scrape.raw, `qagviewd_session_events_total{event="snapshot_save_errors"} 1`+"\n") {
+		t.Fatalf("prometheus scrape lacks the save-error event:\n%s", scrape.raw)
+	}
+	if out := logs.String(); !strings.Contains(out, "level=WARN") || !strings.Contains(out, "snapshot save failed") || !strings.Contains(out, id) {
+		t.Fatalf("save failure not logged at Warn with the session id:\n%s", out)
+	}
+	if resp := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1"); resp.code != http.StatusOK {
+		t.Fatalf("session stopped serving after a failed save: %d %s", resp.code, resp.raw)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"os"
 	"path/filepath"
@@ -148,6 +149,9 @@ type managerStats struct {
 	RefreshErrors int64 `json:"refresh_errors"`
 	SnapshotLoads int64 `json:"snapshot_loads"`
 	SnapshotSaves int64 `json:"snapshot_saves"`
+	// SnapshotSaveErrors counts store snapshots that could not be written
+	// (each is also logged at Warn); the session keeps serving from memory.
+	SnapshotSaveErrors int64 `json:"snapshot_save_errors"`
 }
 
 // sessionManager owns the LRU of live sessions. Summarizer construction and
@@ -167,6 +171,10 @@ type sessionManager struct {
 	// obs call is a nil-safe no-op.
 	tracer *obs.Tracer
 
+	// logger receives warnings about background work no request waits on
+	// (snapshot save failures). Set by Server.New; slog.Default otherwise.
+	logger *slog.Logger
+
 	// wg tracks background store-build goroutines so close can wait for
 	// them after cancelling: graceful shutdown must not exit while a sweep
 	// still touches a Live maintainer.
@@ -179,7 +187,7 @@ type sessionManager struct {
 }
 
 func newSessionManager(maxSessions int, maxBytes int64, snapshotDir string) *sessionManager {
-	m := &sessionManager{snapshotDir: snapshotDir}
+	m := &sessionManager{snapshotDir: snapshotDir, logger: slog.Default()}
 	m.cache = newLRUCache(maxSessions, maxBytes, func(_ string, v any) {
 		// Runs under m.mu (all cache mutations do). Cancelling an in-flight
 		// build makes Precompute return ctx.Err() at its next per-D check.
@@ -526,25 +534,45 @@ func snapshotGen(path, sessionID string) uint64 {
 	return g
 }
 
+// saveSnapshot persists a finished store when snapshots are configured.
+// A failed write is counted (snapshot_save_errors) and logged at Warn; the
+// session keeps serving from memory and the next build tries again.
 func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.Store) {
 	if m.snapshotDir == "" {
 		return
 	}
+	err := m.writeSnapshot(s, v, st)
+	m.mu.Lock()
+	if err != nil {
+		m.stats.SnapshotSaveErrors++
+	} else {
+		m.stats.SnapshotSaves++
+	}
+	m.mu.Unlock()
+	if err != nil {
+		m.logger.Warn("session snapshot save failed; the session keeps serving from memory",
+			"session", s.ID, "error", err)
+	}
+}
+
+// writeSnapshot writes st atomically (temp file, then rename) to the
+// session's current snapshot path and deletes superseded generations.
+func (m *sessionManager) writeSnapshot(s *session, v *sessionView, st *qagview.Store) error {
 	tmp, err := os.CreateTemp(m.snapshotDir, s.ID+".tmp*")
 	if err != nil {
-		return
+		return err
 	}
 	defer os.Remove(tmp.Name())
 	if err := st.Encode(tmp); err != nil {
 		tmp.Close()
-		return
+		return fmt.Errorf("encoding store: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
-		return
+		return err
 	}
 	target := m.snapshotPath(s, v)
 	if err := os.Rename(tmp.Name(), target); err != nil {
-		return
+		return err
 	}
 	// Garbage-collect superseded generations: without this, a session over a
 	// table under routine appends would grow one store file per refresh
@@ -558,9 +586,7 @@ func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.St
 			}
 		}
 	}
-	m.mu.Lock()
-	m.stats.SnapshotSaves++
-	m.mu.Unlock()
+	return nil
 }
 
 // occupancy reports the cache gauges for /metrics.

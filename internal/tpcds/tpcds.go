@@ -182,12 +182,14 @@ func Generate(cfg Config) (*relation.Relation, error) {
 }
 
 // Star holds the TPC-DS base tables: the fact table with surrogate keys
-// into four dimensions. Each dimension enumerates the full cross product of
+// into four dimensions. The fact table is named store_sales_fact, not
+// store_sales, so one catalog can hold it next to Generate's flat
+// store_sales (qagviewd -sample tpcds registers both). Each dimension enumerates the full cross product of
 // its attribute vocabularies (as TPC-DS's customer_demographics does), so
 // surrogate keys are computed, not sampled, and the star's join is
 // byte-identical to the flat table of Generate for the same Config.
 type Star struct {
-	Fact     *relation.Relation // store_sales: ss_cdemo_sk, ss_item_sk, ss_store_sk, ss_date_sk, p_promo, measures
+	Fact     *relation.Relation // store_sales_fact: ss_cdemo_sk, ss_item_sk, ss_store_sk, ss_date_sk, p_promo, measures
 	Customer *relation.Relation // customer_demographics: cd_demo_sk, cd_*
 	Item     *relation.Relation // item: i_item_sk, i_*
 	Store    *relation.Relation // store: s_store_sk, s_*
@@ -389,7 +391,7 @@ func GenerateStar(cfg Config) (*Star, error) {
 		stFK[r] = stKey(r)
 		dtFK[r] = dtKey(r)
 	}
-	fact, err := relation.FromColumns("store_sales",
+	fact, err := relation.FromColumns("store_sales_fact",
 		relation.IntCol("ss_cdemo_sk", cdFK),
 		relation.IntCol("ss_item_sk", itFK),
 		relation.IntCol("ss_store_sk", stFK),
@@ -416,14 +418,14 @@ func Query(m, minCount int) (string, error) {
 }
 
 // JoinQuery renders the same aggregate template over the star schema,
-// joining the fact table to all four dimensions on their surrogate keys;
+// joining the fact table store_sales_fact to all four dimensions on their surrogate keys;
 // its result is bit-identical to Query over the flat table.
 func JoinQuery(m, minCount int) (string, error) {
-	return query(m, minCount, "store_sales"+
-		" JOIN customer_demographics ON store_sales.ss_cdemo_sk = customer_demographics.cd_demo_sk"+
-		" JOIN item ON store_sales.ss_item_sk = item.i_item_sk"+
-		" JOIN store ON store_sales.ss_store_sk = store.s_store_sk"+
-		" JOIN date_dim ON store_sales.ss_date_sk = date_dim.d_date_sk")
+	return query(m, minCount, "store_sales_fact"+
+		" JOIN customer_demographics ON store_sales_fact.ss_cdemo_sk = customer_demographics.cd_demo_sk"+
+		" JOIN item ON store_sales_fact.ss_item_sk = item.i_item_sk"+
+		" JOIN store ON store_sales_fact.ss_store_sk = store.s_store_sk"+
+		" JOIN date_dim ON store_sales_fact.ss_date_sk = date_dim.d_date_sk")
 }
 
 func query(m, minCount int, from string) (string, error) {

@@ -2,8 +2,6 @@ package tpcds
 
 import (
 	"fmt"
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -117,70 +115,6 @@ func TestQueryTemplate(t *testing.T) {
 	}
 	if _, err := Query(99, 1); err == nil {
 		t.Error("huge m accepted")
-	}
-}
-
-// TestStarJoinMatchesFlat pins the star-schema loader property: the
-// four-dimension join over the base tables reproduces the flat store_sales
-// aggregates bit for bit, on the reference, hash, and generic join paths.
-func TestStarJoinMatchesFlat(t *testing.T) {
-	cfg := Config{Rows: 400, Seed: 5}
-	star, err := GenerateStar(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	flatCat := catalog{"store_sales": flat}
-	starCat := catalog{}
-	for _, r := range star.Tables() {
-		starCat[r.Name()] = r
-	}
-	for _, m := range []int{3, 6} {
-		fq, err := Query(m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jq, err := JoinQuery(m, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := engine.ExecuteSQL(flatCat, fq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want.N() == 0 {
-			t.Fatalf("flat query m=%d returned no groups", m)
-		}
-		for i, opts := range [][]engine.ExecOption{
-			{engine.ExecReference()},
-			{engine.ExecParallelism(1)},
-			{engine.ExecParallelism(8)},
-			{engine.ExecParallelism(8), engine.ExecStringKeys()},
-			{engine.ExecParallelism(2), engine.ExecGenericJoin()},
-		} {
-			got, err := engine.ExecuteSQL(starCat, jq, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("m=%d case=%d", m, i)
-			if !reflect.DeepEqual(want.GroupBy, got.GroupBy) || want.ValName != got.ValName {
-				t.Fatalf("%s: header mismatch", label)
-			}
-			if !reflect.DeepEqual(want.Rows, got.Rows) {
-				t.Fatalf("%s: rows mismatch:\nwant %v\ngot  %v", label, want.Rows, got.Rows)
-			}
-			if len(want.Vals) != len(got.Vals) {
-				t.Fatalf("%s: %d vals, want %d", label, len(got.Vals), len(want.Vals))
-			}
-			for k := range want.Vals {
-				if math.Float64bits(want.Vals[k]) != math.Float64bits(got.Vals[k]) {
-					t.Fatalf("%s: val[%d] bits differ: %v vs %v", label, k, want.Vals[k], got.Vals[k])
-				}
-			}
-		}
 	}
 }
 

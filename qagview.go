@@ -52,7 +52,7 @@ type (
 	// algorithm options).
 	PrecomputeOption = precompute.Option
 	// BuildOption customizes the cluster-space build of NewSummarizer
-	// (phase-2 worker count, key representation).
+	// (phase-2 worker count).
 	BuildOption = lattice.BuildOption
 	// Stats reports evaluation-work counters.
 	Stats = summarize.Stats
@@ -135,18 +135,6 @@ var (
 	// ExecContext attaches a context to query execution; cancellation is
 	// observed between morsels.
 	ExecContext = engine.ExecContext
-	// ExecReference forces the row-at-a-time reference executor, for
-	// ablations and differential tests.
-	ExecReference = engine.ExecReference
-	// ExecStringKeys forces the vectorized executor's string-key fallback
-	// over packed uint64 group keys, for ablations.
-	ExecStringKeys = engine.ExecStringKeys
-	// ExecHashJoin forces the binary hash-join plan for multi-table queries
-	// (overriding the cyclicity-based auto selection), for ablations.
-	ExecHashJoin = engine.ExecHashJoin
-	// ExecGenericJoin forces the worst-case-optimal (leapfrog) join path for
-	// multi-table queries, for ablations.
-	ExecGenericJoin = engine.ExecGenericJoin
 	// ExecProfile collects a per-operator execution profile into
 	// Result.Profile (EXPLAIN ANALYZE-style; observation only, output is
 	// bit-identical with it on or off).
@@ -159,9 +147,6 @@ var (
 	// build's coverage-mapping phase (default GOMAXPROCS); the built space is
 	// bit-identical at any setting.
 	BuildParallelism = lattice.BuildParallelism
-	// WithSliceKeys forces the slice-pattern representation over the packed
-	// uint64 fast path, for ablations; output is identical either way.
-	WithSliceKeys = lattice.WithSliceKeys
 )
 
 // DB is a named collection of in-memory relations that aggregate queries run
