@@ -14,22 +14,24 @@
 // Usage examples:
 //
 //	qagviewd -addr :8080 -sample movielens
-//	qagviewd -addr :8080 -snapshots /var/lib/qagviewd -max-sessions 128 -max-mb 512
-//	qagviewd -addr :8080 -sample tpcds -execpar 4
-//	qagviewd -addr :8080 -wal /var/lib/qagviewd/wal -wal-checkpoint-mb 64
+//	qagviewd -addr :8080 -sample tpcds -execpar 4 -max-sessions 128 -max-mb 512
+//	qagviewd -addr :8080 -wal /var/lib/qagviewd -wal-checkpoint-mb 64
 //
 // -execpar bounds the morsel worker pool of the vectorized query executor
 // used by session builds, refreshes, and /v1/queries (0 = GOMAXPROCS);
 // results are bit-identical at every setting.
 //
-// With -wal set, table creates and row appends are written to a
-// write-ahead log and fsynced before the request is acknowledged; on
-// startup the log replays on top of the newest table snapshots, so a crash
-// — even kill -9 — never loses an acknowledged write. SIGTERM drains
-// gracefully: writes get 503 + Retry-After, in-flight requests finish,
-// background builds are cancelled and awaited, and the WAL is flushed and
-// checkpointed before exit. See README.md ("Durability and fault
-// tolerance") and docs/FAULTS.md.
+// -wal names the server's one data directory: WAL segments, tables/ (table
+// snapshots) and stores/ (precompute-store snapshots). Table creates and row
+// appends are written to the write-ahead log and fsynced before the request
+// is acknowledged; on startup the log replays on top of the newest table
+// snapshots, so a crash — even kill -9 — never loses an acknowledged write.
+// Finished session stores are written there too, so a restarted server
+// decodes them instead of re-sweeping. Without -wal nothing is written.
+// SIGTERM drains gracefully: writes get 503 + Retry-After, in-flight
+// requests finish, background builds are cancelled and awaited, and the WAL
+// is flushed and checkpointed before exit. See README.md ("Durability and
+// fault tolerance") and docs/FAULTS.md.
 //
 // See README.md ("Serving", "Live tables") for the endpoint table and curl
 // walkthroughs.
@@ -64,7 +66,6 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	sample := flag.String("sample", "", "preload a sample dataset: movielens or tpcds")
 	sampleRatings := flag.Int("sample-ratings", 0, "override the sample's row count (0 = dataset default)")
-	snapshots := flag.String("snapshots", "", "directory for precompute-store snapshots (empty = disabled)")
 	maxSessions := flag.Int("max-sessions", 64, "maximum live sessions (LRU beyond)")
 	maxMB := flag.Int64("max-mb", 256, "session-cache byte budget in MiB (0 = unlimited)")
 	execPar := flag.Int("execpar", 0, "morsel workers per query execution (0 = GOMAXPROCS); results are identical at any setting")
@@ -86,7 +87,6 @@ func run() error {
 
 	cfg := server.Config{
 		MaxSessions:       *maxSessions,
-		SnapshotDir:       *snapshots,
 		ExecParallelism:   *execPar,
 		WALDir:            *walDir,
 		RequestTimeout:    *requestTimeout,
@@ -105,11 +105,6 @@ func run() error {
 		cfg.WALCheckpointBytes = -1
 	} else {
 		cfg.WALCheckpointBytes = *walCheckpointMB << 20
-	}
-	if *snapshots != "" {
-		if err := os.MkdirAll(*snapshots, 0o755); err != nil {
-			return err
-		}
 	}
 	srv := server.New(cfg)
 	defer srv.Close()

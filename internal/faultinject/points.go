@@ -47,6 +47,13 @@ const (
 	// CrashWALPruneAfter fires with the sealed segments deleted — the
 	// checkpoint fully committed.
 	CrashWALPruneAfter = "wal.prune.after"
+	// CrashStoreRenameBefore fires with a session's precompute store written
+	// and fsynced under its temp name, before the rename publishes it: the
+	// next open of the session re-sweeps.
+	CrashStoreRenameBefore = "store.rename.before"
+	// CrashStoreRenameAfter fires with the store published and its directory
+	// fsynced: the next open of the session decodes it instead of sweeping.
+	CrashStoreRenameAfter = "store.rename.after"
 )
 
 // CrashPoints enumerates every registered crash point for harnesses that
@@ -60,6 +67,8 @@ var CrashPoints = []string{
 	CrashSnapshotRenameAfter,
 	CrashWALPruneBefore,
 	CrashWALPruneAfter,
+	CrashStoreRenameBefore,
+	CrashStoreRenameAfter,
 }
 
 // Registered error-injection points (err: directives).
@@ -71,7 +80,9 @@ const (
 	// fail-stop (sticky broken) because a failed fsync may have dropped
 	// arbitrary dirty pages.
 	ErrWALSync = "wal.sync"
-	// ErrSnapshotWrite makes a table-snapshot write fail before the rename;
-	// the checkpoint aborts and the WAL keeps covering the table.
+	// ErrSnapshotWrite makes a snapshot write fail before the rename: a table
+	// snapshot aborts the checkpoint (the WAL keeps covering the table), a
+	// store snapshot is counted as a save error (the session keeps serving
+	// from memory).
 	ErrSnapshotWrite = "snapshot.write"
 )

@@ -2,6 +2,7 @@ package precompute
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,7 +12,7 @@ import (
 	"qagview/internal/summarize"
 )
 
-func randomIndex(t *testing.T, seed int64, n, m, dom, L int) *lattice.Index {
+func randomIndex(t testing.TB, seed int64, n, m, dom, L int) *lattice.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]string, 0, n)
@@ -265,5 +266,72 @@ func TestDecodeRejectsWrongIndex(t *testing.T) {
 	}
 	if _, err := Decode(bytes.NewReader([]byte("garbage")), ix); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestDecodeRejectsMalformedGrid doctors a real snapshot into each shape the
+// retrieval paths would index out of bounds on — the truncated objective
+// series used to decode and then panic in Value — and requires Decode to
+// refuse it.
+func TestDecodeRejectsMalformedGrid(t *testing.T) {
+	ix := randomIndex(t, 11, 80, 4, 4, 20)
+	st, err := Run(ix, 20, 1, 12, []int{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := st.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	doctor := func(edit func(*snapshot)) []byte {
+		var snap snapshot
+		if err := gob.NewDecoder(bytes.NewReader(good)).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		edit(&snap)
+		var out bytes.Buffer
+		if err := gob.NewEncoder(&out).Encode(snap); err != nil {
+			t.Fatal(err)
+		}
+		return out.Bytes()
+	}
+	withEntry := func(d int, edit func(*snapshotEntry)) func(*snapshot) {
+		return func(snap *snapshot) {
+			e := snap.PerD[d]
+			edit(&e)
+			snap.PerD[d] = e
+		}
+	}
+	cases := map[string]func(*snapshot){
+		"avg truncated":    withEntry(1, func(e *snapshotEntry) { e.Avg = e.Avg[:1] }),
+		"avg too long":     withEntry(2, func(e *snapshotEntry) { e.Avg = append(e.Avg, 1) }),
+		"kmin above kmax":  func(snap *snapshot) { snap.KMin, snap.KMax = snap.KMax, snap.KMin },
+		"kmin zero":        func(snap *snapshot) { snap.KMin = 0 },
+		"d without entry":  func(snap *snapshot) { snap.Ds = append(snap.Ds, 4) },
+		"entry without d":  func(snap *snapshot) { snap.Ds = snap.Ds[:2] },
+		"entry swapped":    func(snap *snapshot) { snap.PerD[4] = snap.PerD[3]; delete(snap.PerD, 3) },
+		"duplicate d":      func(snap *snapshot) { snap.Ds = []int{1, 1, 2} },
+		"min size zero":    withEntry(3, func(e *snapshotEntry) { e.MinSize = 0 }),
+		"min size too big": withEntry(3, func(e *snapshotEntry) { e.MinSize = 13 }),
+	}
+	for name, edit := range cases {
+		if _, err := Decode(bytes.NewReader(doctor(edit)), ix); err == nil {
+			t.Errorf("%s: doctored snapshot decoded", name)
+		}
+	}
+	// The untouched snapshot still decodes and serves its whole grid.
+	back, err := Decode(bytes.NewReader(doctor(func(*snapshot) {})), ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range back.Ds {
+		for k := back.KMin; k <= back.KMax; k++ {
+			want, werr := st.Value(k, d)
+			got, gerr := back.Value(k, d)
+			if got != want || (gerr == nil) != (werr == nil) {
+				t.Fatalf("Value(%d, %d) = %v, %v after the round trip, want %v, %v", k, d, got, gerr, want, werr)
+			}
+		}
 	}
 }

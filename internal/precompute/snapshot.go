@@ -67,6 +67,9 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 	if snap.L != ix.L {
 		return nil, fmt.Errorf("precompute: snapshot L = %d but index L = %d", snap.L, ix.L)
 	}
+	if err := snap.validate(); err != nil {
+		return nil, err
+	}
 	st := &Store{
 		ix: ix, L: snap.L, KMin: snap.KMin, KMax: snap.KMax,
 		Ds:   snap.Ds,
@@ -86,4 +89,29 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 		st.perD[d] = &dEntry{tree: tree, ivs: e.Intervals, avg: e.Avg, minSize: e.MinSize}
 	}
 	return st, nil
+}
+
+// validate rejects a decoded snapshot whose grid the retrieval paths would
+// index out of bounds: Value and Guidance read Avg[k-KMin] for every k in
+// [KMin, KMax] and every D in Ds.
+func (snap *snapshot) validate() error {
+	if err := validateGrid(snap.KMin, snap.KMax, snap.Ds); err != nil {
+		return fmt.Errorf("snapshot: %w", err)
+	}
+	if len(snap.PerD) != len(snap.Ds) {
+		return fmt.Errorf("precompute: snapshot has entries for %d D values but lists %v", len(snap.PerD), snap.Ds)
+	}
+	for _, d := range snap.Ds {
+		e, ok := snap.PerD[d]
+		if !ok {
+			return fmt.Errorf("precompute: snapshot lists D = %d but has no entry for it", d)
+		}
+		if want := snap.KMax - snap.KMin + 1; len(e.Avg) != want {
+			return fmt.Errorf("precompute: snapshot D = %d has %d objective values, want %d", d, len(e.Avg), want)
+		}
+		if e.MinSize < 1 || e.MinSize > snap.KMax {
+			return fmt.Errorf("precompute: snapshot D = %d minimum size %d outside [1, %d]", d, e.MinSize, snap.KMax)
+		}
+	}
+	return nil
 }

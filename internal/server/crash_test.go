@@ -26,6 +26,8 @@ import (
 // childBatches is the child's append sequence: generations 2..5 on top of
 // the create (generation 1). A checkpoint runs between generations 3 and 4,
 // so crash points in the rotate/snapshot/prune path fire mid-sequence.
+// After the final checkpoint the child opens a session and waits for its
+// store snapshot to be saved, so the store crash points fire last.
 var childBatches = [][][]string{
 	{{"A0", "B0", "C0", "100"}, {"A1", "B1", "C1", "90"}},
 	{{"A2", "B2", "C0", "80"}},
@@ -90,6 +92,8 @@ func TestCrashChildProcess(t *testing.T) {
 	if err := srv.checkpoint(); err != nil {
 		t.Fatalf("child final checkpoint: %v", err)
 	}
+	crashSolutionBody(t, ts)
+	srv.Close() // waits for the store save
 }
 
 // crashSpec is one harness run: a crash point and the 1-based hit that
@@ -197,9 +201,16 @@ func TestCrashRecoveryBitIdentity(t *testing.T) {
 			if gotQ != wantQ {
 				t.Fatalf("recovered query body differs from never-crashed reference:\n%s\nvs\n%s", gotQ, wantQ)
 			}
-			wantS, gotS := crashSolutionBody(t, ref), crashSolutionBody(t, ts)
+			wantS, _ := crashSolutionBody(t, ref)
+			gotS, loaded := crashSolutionBody(t, ts)
 			if gotS != wantS {
 				t.Fatalf("recovered solution differs from never-crashed reference:\n%s\nvs\n%s", gotS, wantS)
+			}
+			// Only a store the child published may be decoded; a temp file
+			// cut off before its rename is never read, so the session
+			// re-sweeps.
+			if want := spec.point == faultinject.CrashStoreRenameAfter; loaded != want {
+				t.Fatalf("session store from_snapshot = %v after a crash at %s, want %v", loaded, spec.point, want)
 			}
 		})
 	}
@@ -242,8 +253,9 @@ func crashQueryBody(t *testing.T, ts *httptest.Server) string {
 	return resp.raw
 }
 
-// crashSolutionBody opens a small session and reads one expanded solution.
-func crashSolutionBody(t *testing.T, ts *httptest.Server) string {
+// crashSolutionBody opens a small session and reads one expanded solution,
+// reporting whether the session's store was decoded from a snapshot.
+func crashSolutionBody(t *testing.T, ts *httptest.Server) (string, bool) {
 	t.Helper()
 	resp := post(t, ts, "/v1/sessions", map[string]any{
 		"sql": testSQL, "l": 6, "kmin": 1, "kmax": 4, "ds": []int{1, 2},
@@ -252,12 +264,12 @@ func crashSolutionBody(t *testing.T, ts *httptest.Server) string {
 		t.Fatalf("session: %d %s", resp.code, resp.raw)
 	}
 	id := resp.body["session"].(string)
-	waitReady(t, ts, id)
+	info := waitReady(t, ts, id)
 	sol := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=2&expand=1")
 	if sol.code != http.StatusOK {
 		t.Fatalf("solution: %d %s", sol.code, sol.raw)
 	}
-	return sol.raw
+	return sol.raw, info.body["from_snapshot"] == true
 }
 
 // TestInjectedFsyncErrorFailsStop pins fsyncgate semantics: an injected

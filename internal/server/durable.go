@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,12 +29,16 @@ const (
 // durable, and the log has gone fail-stop).
 var errDurability = errors.New("durability failure")
 
-// durability owns the server's write-ahead log and table snapshots.
+// durability owns the server's data directory: the write-ahead log, table
+// snapshots, and the session store snapshots the session manager writes.
 //
-// Layout under dir:
+// Layout under dir (the server's one data directory):
 //
 //	wal-00000001.log ...   record segments (internal/wal)
 //	tables/t-<hex>.snap    one snapshot per table, named by hex(table name)
+//	stores/<session>-<fp>.store
+//	                       one precompute store per session, keyed by the
+//	                       fingerprint of the answer set it was swept over
 //
 // Invariant: at every instant, snapshot(table) + WAL records with
 // gen > snapshot gen reproduce the in-memory table byte-for-byte. The
@@ -103,6 +108,14 @@ func (d *durability) tableSnapDir() string { return filepath.Join(d.dir, "tables
 // name filesystem-safe.
 func (d *durability) snapPath(table string) string {
 	return filepath.Join(d.tableSnapDir(), "t-"+hex.EncodeToString([]byte(table))+".snap")
+}
+
+// storePath names a session's store snapshot. The key is the answer-set
+// fingerprint, not the data generation: the in-memory generation may run
+// ahead of disk by unacknowledged records, so after a crash a different
+// append can reuse a generation number, but never a fingerprint.
+func (d *durability) storePath(session, fp string) string {
+	return filepath.Join(d.dir, "stores", session+"-"+fp+".store")
 }
 
 // RecoverStats reports what Recover rebuilt.
@@ -307,10 +320,12 @@ func (s *Server) checkpoint() error {
 		if gen <= d.snapGen(name) {
 			continue
 		}
-		if err := s.writeTableSnapshot(rel, gen); err != nil {
+		err = writeSnapshotFile(d.snapPath(name), faultinject.CrashSnapshotRenameBefore, faultinject.CrashSnapshotRenameAfter,
+			func(w io.Writer) error { return qagview.WriteRelationSnapshot(w, rel, gen) })
+		if err != nil {
 			// Abort without pruning: the sealed segments keep covering every
 			// table, so nothing is lost — the next checkpoint retries.
-			return err
+			return fmt.Errorf("snapshot %q: %w", name, err)
 		}
 		d.mu.Lock()
 		d.snapGens[name] = gen
@@ -326,26 +341,28 @@ func (s *Server) checkpoint() error {
 	return nil
 }
 
-// writeTableSnapshot persists one table crash-atomically: temp file, fsync,
-// rename, directory fsync. Readers of the old snapshot either see the old
-// complete file or the new complete file, never a partial one.
-func (s *Server) writeTableSnapshot(rel *qagview.Relation, gen uint64) error {
-	tdir := s.dur.tableSnapDir()
-	if err := os.MkdirAll(tdir, 0o755); err != nil {
+// writeSnapshotFile is how the server writes every snapshot file: temp
+// file, encode, fsync, rename over path, directory fsync. Readers see the
+// old complete file or the new complete file, never a partial one. Table
+// and store snapshots both go through it; each passes its own crash points
+// (before and after the rename) so the harness kills the process there.
+func writeSnapshotFile(path, crashBefore, crashAfter string, encode func(io.Writer) error) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(tdir, "snap-*.tmp")
+	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name())
 	if err := faultinject.Err(faultinject.ErrSnapshotWrite); err != nil {
 		tmp.Close()
-		return fmt.Errorf("snapshot %q: %w", rel.Name(), err)
+		return err
 	}
-	if err := qagview.WriteRelationSnapshot(tmp, rel, gen); err != nil {
+	if err := encode(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("snapshot %q: %w", rel.Name(), err)
+		return err
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -354,14 +371,14 @@ func (s *Server) writeTableSnapshot(rel *qagview.Relation, gen uint64) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	faultinject.Crash(faultinject.CrashSnapshotRenameBefore)
-	if err := os.Rename(tmp.Name(), s.dur.snapPath(rel.Name())); err != nil {
+	faultinject.Crash(crashBefore)
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	if err := syncParentDir(tdir); err != nil {
+	if err := syncParentDir(dir); err != nil {
 		return err
 	}
-	faultinject.Crash(faultinject.CrashSnapshotRenameAfter)
+	faultinject.Crash(crashAfter)
 	return nil
 }
 

@@ -42,16 +42,15 @@ type Config struct {
 	// (summarizer + store). 0 means the default of 256 MiB; negative means
 	// unlimited.
 	MaxCacheBytes int64
-	// SnapshotDir, when non-empty, persists finished precompute stores so
-	// warm restarts skip the sweep. The directory must exist.
-	SnapshotDir string
 	// ExecParallelism bounds the morsel worker pool of query execution
 	// (session builds, refreshes, and /v1/queries). 0 means GOMAXPROCS;
 	// results are bit-identical at any setting.
 	ExecParallelism int
-	// WALDir, when non-empty, makes live tables durable: creates and
-	// appends are logged and fsynced before acknowledgement, and Recover
-	// replays the log on startup. Created if missing.
+	// WALDir, when non-empty, is the server's data directory: live tables
+	// are durable (creates and appends are logged and fsynced before
+	// acknowledgement, and Recover replays the log on startup), and finished
+	// precompute stores persist so warm restarts skip the sweep. Created if
+	// missing.
 	WALDir string
 	// WALCheckpointBytes triggers a checkpoint (snapshot tables, prune the
 	// log) once the WAL exceeds this size. 0 means the default of 64 MiB;
@@ -335,7 +334,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		db:       newServerDB(execOpts...),
-		sessions: newSessionManager(cfg.MaxSessions, cfg.MaxCacheBytes, cfg.SnapshotDir),
+		sessions: newSessionManager(cfg.MaxSessions, cfg.MaxCacheBytes),
 		metrics:  newMetrics(),
 		tracer:   obs.NewTracer(cfg.TraceRing, logger),
 		logger:   logger,
@@ -348,6 +347,7 @@ func New(cfg Config) *Server {
 	s.sessions.logger = logger
 	if cfg.WALDir != "" {
 		s.dur = newDurability(cfg.WALDir, cfg.WALCheckpointBytes)
+		s.sessions.dur = s.dur
 	}
 	if cfg.MaxInflightBuilds > 0 {
 		s.buildSlots = make(chan struct{}, cfg.MaxInflightBuilds)

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"qagview"
 	"qagview/internal/intervaltree"
 )
 
@@ -39,10 +40,14 @@ func makeCSV(na, nb, nc int) string {
 
 const testSQL = "SELECT a, b, c, avg(v) AS val FROM t GROUP BY a, b, c ORDER BY val DESC"
 
-// testServer starts a server over httptest with the synthetic table loaded.
+// testServer starts a server over httptest with the synthetic table loaded
+// (recovering cfg.WALDir first, when one is set).
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	srv := New(cfg)
+	if _, err := srv.Recover(); err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -217,27 +222,62 @@ func TestTableQuerySessionSolutionFlow(t *testing.T) {
 	}
 }
 
+// TestSolutionLiveFallbackBeforeReady reads a solution while the store may
+// still be building. Either source is fine, but each reply must match its
+// own definition: "live" is a direct Summarize(Hybrid) run over the view's
+// summarizer, "store" is Store.Solution. The two need not agree — the
+// store's per-D sweep and a one-off Hybrid run can settle on different
+// summaries for the same (k, D).
 func TestSolutionLiveFallbackBeforeReady(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	srv, ts := testServer(t, Config{})
 	id := openSession(t, ts)
-	// The store builds in the background; a read racing it must succeed
-	// either way and label its source.
+	sess, ok := srv.sessions.get(id)
+	if !ok {
+		t.Fatal("session not registered")
+	}
+	v := sess.currentView()
 	sol := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1")
 	if sol.code != http.StatusOK {
 		t.Fatalf("solution during build: %d %s", sol.code, sol.raw)
-	}
-	if src := sol.body["source"]; src != "live" && src != "store" {
-		t.Fatalf("source = %v", src)
 	}
 	waitReady(t, ts, id)
 	after := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1")
 	if after.body["source"] != "store" {
 		t.Fatalf("post-ready source = %v, want store", after.body["source"])
 	}
-	// Store and live solutions agree on the objective (the store replays the
-	// same Hybrid sweep).
-	if sol.body["objective"].(float64) != after.body["objective"].(float64) {
-		t.Fatalf("live objective %v != store objective %v", sol.body["objective"], after.body["objective"])
+
+	live, err := v.sum.Summarize(qagview.Hybrid, qagview.Params{K: 3, L: sess.L, D: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, buildErr, _ := v.storeIfReady()
+	if buildErr != nil {
+		t.Fatal(buildErr)
+	}
+	stored, err := st.Solution(3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[any]*qagview.Solution{"live": live, "store": stored}
+	for _, reply := range []response{sol, after} {
+		ref, ok := want[reply.body["source"]]
+		if !ok {
+			t.Fatalf("source = %v, want live or store", reply.body["source"])
+		}
+		if got := reply.body["objective"].(float64); got != ref.AvgValue() {
+			t.Fatalf("%v reply objective %v != its source's %v", reply.body["source"], got, ref.AvgValue())
+		}
+		raw, err := json.Marshal(renderSolution(v, ref, false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var clusters []any
+		if err := json.Unmarshal(raw, &clusters); err != nil {
+			t.Fatal(err)
+		}
+		if got, w := fmt.Sprint(reply.body["clusters"]), fmt.Sprint(clusters); got != w {
+			t.Fatalf("%v reply clusters %s != its source's %s", reply.body["source"], got, w)
+		}
 	}
 }
 
@@ -335,18 +375,40 @@ type snapshotEntry struct {
 	MinSize   int
 }
 
+// storeFiles lists the store snapshots in a data directory.
+func storeFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "stores", "*.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// drain stops a test server the way SIGTERM does: the listener first, then
+// Drain, which waits for background store saves and closes the WAL, so a
+// second server can take over the data directory.
+func drain(t *testing.T, srv *Server, ts *httptest.Server) {
+	t.Helper()
+	ts.Close()
+	if err := srv.Drain(); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+}
+
 func TestSolutionBelowSmallestSweep(t *testing.T) {
 	// Run a real session once to learn its cluster count and snapshot file
 	// name (which embeds the data fingerprint), then overwrite that
 	// snapshot with a doctored one whose intervals all start at k=3.
 	dir := t.TempDir()
-	_, probe := testServer(t, Config{SnapshotDir: dir})
+	srv, probe := testServer(t, Config{WALDir: dir})
 	id := openSession(t, probe)
 	info := waitReady(t, probe, id)
 	numClusters := int(info.body["clusters"].(float64))
-	files, err := filepath.Glob(filepath.Join(dir, "*.store"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("snapshot files = %v (err %v), want exactly one", files, err)
+	drain(t, srv, probe)
+	files := storeFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("snapshot files = %v, want exactly one", files)
 	}
 
 	snap := snapshot{
@@ -369,7 +431,7 @@ func TestSolutionBelowSmallestSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, ts := testServer(t, Config{SnapshotDir: dir})
+	_, ts := testServer(t, Config{WALDir: dir})
 	id2 := openSession(t, ts)
 	if id2 != id {
 		t.Fatalf("session id not deterministic: %q vs %q", id2, id)
@@ -393,22 +455,22 @@ func TestSolutionBelowSmallestSweep(t *testing.T) {
 func TestSnapshotWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 
-	_, ts := testServer(t, Config{SnapshotDir: dir})
+	srv, ts := testServer(t, Config{WALDir: dir})
 	id := openSession(t, ts)
 	info := waitReady(t, ts, id)
 	if info.body["from_snapshot"] != false {
 		t.Fatal("first build must sweep, not load a snapshot")
 	}
 	want := get(t, ts, "/v1/sessions/"+id+"/solution?k=3&d=1")
-
-	files, err := filepath.Glob(filepath.Join(dir, "*.store"))
-	if err != nil || len(files) != 1 {
-		t.Fatalf("snapshot files = %v (err %v), want exactly one", files, err)
+	drain(t, srv, ts)
+	files := storeFiles(t, dir)
+	if len(files) != 1 {
+		t.Fatalf("snapshot files = %v, want exactly one", files)
 	}
 
-	// "Restart": a fresh server over the same snapshot dir decodes instead
+	// Restart: a fresh server over the same data directory decodes instead
 	// of re-sweeping.
-	_, ts2 := testServer(t, Config{SnapshotDir: dir})
+	srv2, ts2 := testServer(t, Config{WALDir: dir})
 	id2 := openSession(t, ts2)
 	if id2 != id {
 		t.Fatalf("warm restart changed the session id: %q vs %q", id2, id)
@@ -423,14 +485,18 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	if rs["Replays"].(float64) != 0 {
 		t.Fatalf("decoded store reports replays: %s", info2.raw)
 	}
+	// The restart re-posts the table, so only data_version may differ.
 	got := get(t, ts2, "/v1/sessions/"+id2+"/solution?k=3&d=1")
-	if got.body["objective"].(float64) != want.body["objective"].(float64) {
-		t.Fatalf("snapshot solution objective %v != fresh %v", got.body["objective"], want.body["objective"])
+	delete(got.body, "data_version")
+	delete(want.body, "data_version")
+	if g, w := fmt.Sprint(got.body), fmt.Sprint(want.body); g != w {
+		t.Fatalf("snapshot solution differs from the fresh sweep:\n%s\nvs\n%s", g, w)
 	}
+	drain(t, srv2, ts2)
 
 	// Changed table data under the same query text must NOT reuse the
 	// snapshot: the file name carries the answer-set fingerprint.
-	_, ts3 := testServer(t, Config{SnapshotDir: dir})
+	srv3, ts3 := testServer(t, Config{WALDir: dir})
 	if resp := post(t, ts3, "/v1/tables", map[string]any{
 		"name": "t", "csv": makeCSV(3, 3, 3), "kinds": map[string]string{"v": "float"},
 	}); resp.code != http.StatusCreated {
@@ -443,6 +509,11 @@ func TestSnapshotWarmRestart(t *testing.T) {
 	info3 := waitReady(t, ts3, id3)
 	if info3.body["from_snapshot"] != false {
 		t.Fatal("stale snapshot served for changed table data")
+	}
+	// The new sweep's save replaces the session's superseded store file.
+	drain(t, srv3, ts3)
+	if now := storeFiles(t, dir); len(now) != 1 || now[0] == files[0] {
+		t.Fatalf("store files after the data changed = %v, want one file other than %s", now, files[0])
 	}
 }
 
@@ -465,19 +536,20 @@ func (l *lockedBuffer) String() string {
 	return l.b.String()
 }
 
-// TestSnapshotSaveErrorCounted points SnapshotDir below a regular file, so
-// every snapshot write fails (whatever the process's privileges): the
+// TestSnapshotSaveErrorCounted puts a regular file where the data
+// directory's stores/ subdirectory belongs, so every store snapshot write
+// fails (whatever the process's privileges) while the WAL works: the
 // failure must be counted as the snapshot_save_errors session event, in the
 // JSON and the Prometheus renderings, and logged at Warn, while the session
 // keeps serving from memory.
 func TestSnapshotSaveErrorCounted(t *testing.T) {
-	blocker := filepath.Join(t.TempDir(), "not-a-dir")
-	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "stores"), []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var logs lockedBuffer
 	logger := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))
-	_, ts := testServer(t, Config{SnapshotDir: filepath.Join(blocker, "snapshots"), Logger: logger})
+	_, ts := testServer(t, Config{WALDir: dir, Logger: logger})
 	id := openSession(t, ts)
 	waitReady(t, ts, id)
 	// The store is published before its snapshot is written; wait for the

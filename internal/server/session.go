@@ -11,6 +11,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,6 +20,7 @@ import (
 	"time"
 
 	"qagview"
+	"qagview/internal/faultinject"
 	"qagview/internal/obs"
 )
 
@@ -163,8 +165,12 @@ type sessionManager struct {
 	cache *lruCache // session id -> *session
 	stats managerStats
 
-	flight      flightGroup
-	snapshotDir string
+	flight flightGroup
+
+	// dur is the server's data directory; store snapshots persist there
+	// through the durable writer. Set by Server.New; nil without a WAL
+	// directory, in which case nothing is written.
+	dur *durability
 
 	// tracer roots background-build traces (builds have no request trace to
 	// attach to). Set by Server.New; nil in bare-manager tests, where every
@@ -186,8 +192,8 @@ type sessionManager struct {
 	removing bool
 }
 
-func newSessionManager(maxSessions int, maxBytes int64, snapshotDir string) *sessionManager {
-	m := &sessionManager{snapshotDir: snapshotDir, logger: slog.Default()}
+func newSessionManager(maxSessions int, maxBytes int64) *sessionManager {
+	m := &sessionManager{logger: slog.Default()}
 	m.cache = newLRUCache(maxSessions, maxBytes, func(_ string, v any) {
 		// Runs under m.mu (all cache mutations do). Cancelling an in-flight
 		// build makes Precompute return ctx.Err() at its next per-D check.
@@ -406,15 +412,13 @@ func (m *sessionManager) countRefresh(counter *int64) {
 	m.mu.Unlock()
 }
 
-// buildStore materializes a view's precompute store in the background: from
-// a snapshot when one exists for this session key and data fingerprint (warm
-// restart, no sweep), otherwise by running the cancellable sweep — through
-// the warm sweeper chain, so a refreshed session reuses the previous
-// generation's replay state — and snapshotting the result for the next
-// restart.
+// buildStore materializes a view's precompute store in the background
+// (fillStore), then — with ready already closed, so reads switch to the
+// store while the file is fsynced — snapshots a freshly swept store for the
+// next restart. The goroutine stays in m.wg until the save returns, so close
+// and Drain wait for it.
 func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionView) {
 	defer m.wg.Done()
-	defer close(v.build.ready)
 	// Background builds run on a cancel-on-eviction context with no request
 	// attached, so they root their own trace (recorded only while the global
 	// gate is on; nil otherwise).
@@ -424,11 +428,24 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 		btr.Root.SetInt("data_version", int64(v.dataVersion))
 		defer m.tracer.Finish(btr)
 	}
+	if st, swept := m.fillStore(ctx, s, v); swept {
+		m.saveSnapshot(s, v, st)
+	}
+}
+
+// fillStore sets the view's store — from a snapshot when one exists for
+// this session and data fingerprint (warm restart, no sweep), otherwise by
+// running the cancellable sweep through the warm sweeper chain, so a
+// refreshed session reuses the previous generation's replay state — and
+// closes ready. swept reports a store this process computed.
+func (m *sessionManager) fillStore(ctx context.Context, s *session, v *sessionView) (st *qagview.Store, swept bool) {
+	defer close(v.build.ready)
 	// A panic here would kill the whole process (background goroutine), so
 	// degrade to a build error: the session keeps serving via the live path.
 	defer func() {
 		if r := recover(); r != nil {
 			v.build.buildErr = fmt.Errorf("store build panicked: %v", r)
+			st, swept = nil, false
 			m.mu.Lock()
 			m.stats.BuildErrors++
 			m.mu.Unlock()
@@ -437,7 +454,7 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 	if st, ok := m.loadSnapshot(s, v); ok {
 		v.build.store, v.build.fromSnapshot = st, true
 		m.resize(s, v)
-		return
+		return st, false
 	}
 	st, err := s.live.Precompute(s.KMin, s.KMax, s.Ds,
 		qagview.WithPrecomputeContext(ctx),
@@ -451,11 +468,11 @@ func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionV
 			m.stats.BuildErrors++
 			m.mu.Unlock()
 		}
-		return
+		return nil, false
 	}
 	v.build.store = st
 	m.resize(s, v)
-	m.saveSnapshot(s, v, st)
+	return st, true
 }
 
 // resize re-accounts the session's cache cost once its store exists.
@@ -465,53 +482,23 @@ func (m *sessionManager) resize(s *session, v *sessionView) {
 	m.mu.Unlock()
 }
 
-// snapshotPath names a view's snapshot file: session id, data generation,
-// and content fingerprint. Keying by generation keeps every generation's
-// sweep on disk (the freshest wins on restart); the fingerprint is what
-// load matches on, since generation counters restart with the process.
-func (m *sessionManager) snapshotPath(s *session, v *sessionView) string {
-	return filepath.Join(m.snapshotDir, fmt.Sprintf("%s-g%d-%s.store", s.ID, v.dataVersion, v.dataFP))
-}
-
-// loadSnapshot finds a snapshot whose content fingerprint matches the view's
-// data, regardless of which generation number wrote it (a warm restart
-// resets generation counters but not table contents).
+// loadSnapshot decodes the session's store snapshot for the view's answer
+// set, if one exists. Generation counters restart with the process, table
+// contents do not, so the fingerprint in the file name is the whole key.
 func (m *sessionManager) loadSnapshot(s *session, v *sessionView) (*qagview.Store, bool) {
-	if m.snapshotDir == "" {
+	if m.dur == nil {
 		return nil, false
 	}
-	matches, err := filepath.Glob(filepath.Join(m.snapshotDir, s.ID+"-g*-"+v.dataFP+".store"))
-	if err != nil || len(matches) == 0 {
-		return nil, false
-	}
-	// All matches hold identical data (same fingerprint); prefer the highest
-	// generation number — parsed, not lexicographic, so g10 beats g9 — for
-	// the freshest stamp when GC left more than one behind.
-	best := matches[0]
-	bestGen := snapshotGen(best, s.ID)
-	for _, mpath := range matches[1:] {
-		if g := snapshotGen(mpath, s.ID); g > bestGen {
-			best, bestGen = mpath, g
-		}
-	}
-	f, err := os.Open(best)
+	f, err := os.Open(m.dur.storePath(s.ID, v.dataFP))
 	if err != nil {
 		return nil, false
 	}
 	defer f.Close()
 	st, err := v.sum.DecodeStore(f)
-	if err != nil {
-		// Stale or foreign snapshot (e.g. the table changed under the same
-		// query text): fall back to a fresh sweep, which overwrites it.
+	if err != nil || st.KMin != s.KMin || st.KMax != s.KMax || !slices.Equal(st.Ds, s.Ds) {
+		// Undecodable or foreign snapshot: fall back to a fresh sweep, whose
+		// save overwrites it.
 		return nil, false
-	}
-	if st.KMin != s.KMin || st.KMax != s.KMax || len(st.Ds) != len(s.Ds) {
-		return nil, false
-	}
-	for i, d := range st.Ds {
-		if s.Ds[i] != d {
-			return nil, false
-		}
 	}
 	m.mu.Lock()
 	m.stats.SnapshotLoads++
@@ -519,29 +506,18 @@ func (m *sessionManager) loadSnapshot(s *session, v *sessionView) (*qagview.Stor
 	return st, true
 }
 
-// snapshotGen extracts the generation number from a snapshot filename
-// ({session}-g{gen}-{fingerprint}.store); malformed names rank lowest.
-func snapshotGen(path, sessionID string) uint64 {
-	base := strings.TrimPrefix(filepath.Base(path), sessionID+"-g")
-	digits, _, ok := strings.Cut(base, "-")
-	if !ok {
-		return 0
-	}
-	g, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0
-	}
-	return g
-}
-
-// saveSnapshot persists a finished store when snapshots are configured.
-// A failed write is counted (snapshot_save_errors) and logged at Warn; the
-// session keeps serving from memory and the next build tries again.
+// saveSnapshot persists a swept store through the durable writer when the
+// server has a data directory, then deletes the session's superseded store
+// files; without this, a session over a table under routine appends would
+// grow one file per refresh forever. A failed write is counted
+// (snapshot_save_errors) and logged at Warn; the session keeps serving from
+// memory and the next build tries again.
 func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.Store) {
-	if m.snapshotDir == "" {
+	if m.dur == nil {
 		return
 	}
-	err := m.writeSnapshot(s, v, st)
+	path := m.dur.storePath(s.ID, v.dataFP)
+	err := writeSnapshotFile(path, faultinject.CrashStoreRenameBefore, faultinject.CrashStoreRenameAfter, st.Encode)
 	m.mu.Lock()
 	if err != nil {
 		m.stats.SnapshotSaveErrors++
@@ -552,41 +528,16 @@ func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.St
 	if err != nil {
 		m.logger.Warn("session snapshot save failed; the session keeps serving from memory",
 			"session", s.ID, "error", err)
+		return
 	}
-}
-
-// writeSnapshot writes st atomically (temp file, then rename) to the
-// session's current snapshot path and deletes superseded generations.
-func (m *sessionManager) writeSnapshot(s *session, v *sessionView, st *qagview.Store) error {
-	tmp, err := os.CreateTemp(m.snapshotDir, s.ID+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if err := st.Encode(tmp); err != nil {
-		tmp.Close()
-		return fmt.Errorf("encoding store: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	target := m.snapshotPath(s, v)
-	if err := os.Rename(tmp.Name(), target); err != nil {
-		return err
-	}
-	// Garbage-collect superseded generations: without this, a session over a
-	// table under routine appends would grow one store file per refresh
-	// forever. Open readers on unix keep their fd across the unlink, so a
-	// concurrent warm-restart load racing the delete still decodes cleanly
-	// (or misses and re-sweeps).
-	if old, err := filepath.Glob(filepath.Join(m.snapshotDir, s.ID+"-g*.store")); err == nil {
-		for _, f := range old {
-			if f != target {
-				_ = os.Remove(f)
-			}
+	// Open readers on unix keep their fd across the unlink, so a concurrent
+	// load racing the delete still decodes cleanly (or misses and re-sweeps).
+	old, _ := filepath.Glob(filepath.Join(filepath.Dir(path), s.ID+"-*.store"))
+	for _, f := range old {
+		if f != path {
+			_ = os.Remove(f)
 		}
 	}
-	return nil
 }
 
 // occupancy reports the cache gauges for /metrics.

@@ -205,6 +205,34 @@ grep -q '"data_version": 2' "$OUT/dur_append.json" || { cat "$OUT/dur_append.jso
 ck 200 "$OUT/dur_q1.json" -X POST "${BASE}/v1/queries" \
   -H 'Content-Type: application/json' -d "{\"sql\": \"${DSQL}\"}"
 
+# open_durable_session <outfile prefix>: opens the session over the durable
+# table, waits for its store, and reads one solution into <prefix>_sol.json.
+DSESS_BODY="{\"sql\": \"${DSQL}\", \"l\": 4, \"kmin\": 1, \"kmax\": 3, \"ds\": [1]}"
+open_durable_session() {
+  ck 201 "$OUT/$1_sess.json" -X POST "${BASE}/v1/sessions" \
+    -H 'Content-Type: application/json' -d "${DSESS_BODY}"
+  DSESS=$(sed -n 's/.*"session": "\([^"]*\)".*/\1/p' "$OUT/$1_sess.json" | head -1)
+  [ -n "$DSESS" ] || { cat "$OUT/$1_sess.json" >&2; fail "no durable session id"; }
+  for i in $(seq 1 100); do
+    ck 200 "$OUT/$1_info.json" "${BASE}/v1/sessions/${DSESS}"
+    grep -q '"store_ready": true' "$OUT/$1_info.json" && break
+    [ "$i" = 100 ] && { cat "$OUT/$1_info.json" >&2; fail "durable session store never became ready"; }
+    sleep 0.1
+  done
+  ck 200 "$OUT/$1_sol.json" "${BASE}/v1/sessions/${DSESS}/solution?k=2&d=1&expand=1"
+}
+
+echo "   session over the durable table: its store snapshot lands in ${WALDIR}/stores"
+open_durable_session dur1
+# The store is served before its snapshot is fsynced; wait for the save.
+for i in $(seq 1 100); do
+  ck 200 "$OUT/dur_metrics.prom" "${BASE}/metrics?format=prometheus"
+  grep -q 'qagviewd_session_events_total{event="snapshot_saves"} 1' "$OUT/dur_metrics.prom" && break
+  [ "$i" = 100 ] && fail "store snapshot was never saved"
+  sleep 0.1
+done
+ls "${WALDIR}"/stores/*.store >/dev/null || fail "no store snapshot in ${WALDIR}/stores"
+
 echo "   kill -9 then restart against ${WALDIR}"
 kill -9 "${SERVER_PID}"
 wait "${SERVER_PID}" 2>/dev/null || true
@@ -216,6 +244,12 @@ ck 200 "$OUT/dur_q2.json" -X POST "${BASE}/v1/queries" \
 cmp -s "$OUT/dur_q1.json" "$OUT/dur_q2.json" || {
   diff "$OUT/dur_q1.json" "$OUT/dur_q2.json" >&2 || true
   fail "recovered query result differs from the pre-crash result"
+}
+open_durable_session dur2
+grep -q '"from_snapshot": true' "$OUT/dur2_info.json" || { cat "$OUT/dur2_info.json" >&2; fail "re-opened session swept instead of decoding its store snapshot"; }
+cmp -s "$OUT/dur1_sol.json" "$OUT/dur2_sol.json" || {
+  diff "$OUT/dur1_sol.json" "$OUT/dur2_sol.json" >&2 || true
+  fail "solution from the decoded store differs from the pre-crash solution"
 }
 
 echo "e2e: OK"
