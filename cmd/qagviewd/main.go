@@ -140,7 +140,8 @@ func run() error {
 			"snapshots", stats.SnapshotsLoaded,
 			"records_replayed", stats.RecordsReplayed,
 			"records_skipped", stats.RecordsSkipped,
-			"torn_bytes_truncated", stats.TruncatedBytes)
+			"torn_bytes_truncated", stats.TruncatedBytes,
+			"stale_temps_removed", stats.StaleTempsRemoved)
 	}
 
 	// The debug listener carries pprof and the trace ring on its own port:

@@ -110,6 +110,30 @@ func BenchmarkJoinMovieLens(b *testing.B) {
 		{"hash_par8_strkeys", withOpts(ExecParallelism(8), execStringKeys())},
 		{"wcoj_par8", withOpts(ExecParallelism(8), execGenericJoin())},
 	})
+
+	// The cold benchmark workload's star joins: 200k ratings, all nine
+	// grouping attributes, no HAVING, unfiltered and with a WHERE on the
+	// movies dimension.
+	cfg := movielens.DefaultConfig()
+	cfg.Ratings = 200_000
+	star, err = movielens.GenerateStar(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat = catalog{}
+	for _, r := range star.Tables() {
+		cat[r.Name()] = r
+	}
+	for _, w := range []struct{ name, where string }{{"all", ""}, {"drama", "genre_drama = 1"}} {
+		sql, err := movielens.JoinQuery(9, 0, w.where)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchVariants(b, cat, "m9_200k/"+w.name+"/", sql, []benchVariant{
+			{"hash_par1", withOpts(ExecParallelism(1))},
+			{"hash_par2", withOpts(ExecParallelism(2))},
+		})
+	}
 }
 
 // BenchmarkJoinTriangle measures the worst-case-optimal path where it earns

@@ -100,10 +100,11 @@ func ExecProfile() ExecOption {
 	return func(c *execConfig) { c.profile = true }
 }
 
-// Execute runs a parsed query against the catalog. Multi-table queries join
-// their FROM relations first (see join.go) and aggregate over the joined
-// rows; both forms run the same vectorized pipeline and stay bit-identical
-// to the reference executor (reference_test.go) at every parallelism.
+// Execute runs a parsed query against the catalog. Multi-table queries
+// filter and join their FROM relations first (see join.go) and aggregate
+// over the joined row-id tuples; both forms run the same vectorized
+// pipeline and stay bit-identical to the reference executor
+// (reference_test.go) at every parallelism.
 func Execute(cat Catalog, q *Query, opts ...ExecOption) (*Result, error) {
 	cfg := execConfig{par: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
@@ -143,7 +144,7 @@ func execute(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return executeVec(p, cfg)
+	return executeVec(newVecPlan(p, cfg), cfg)
 }
 
 // ExecuteSQL parses and runs sql against the catalog.
@@ -177,9 +178,11 @@ type execPlan struct {
 }
 
 // lookupCol resolves a (possibly qualified) column reference against the
-// plan's relation. Materialized join relations name their columns with the
-// query's exact reference text, so the direct probe hits; for single-table
-// queries a qualifier naming the FROM table (or its alias) is stripped.
+// plan's relation. A join is planned over its zero-row output schema
+// (joinPlan.schemaRel), whose columns carry the query's exact reference
+// text, so the direct probe hits; the join then reads each one from its
+// base table. For single-table queries a qualifier naming the FROM table
+// (or its alias) is stripped.
 func lookupCol(rel *relation.Relation, q *Query, name string) (*relation.Column, bool) {
 	if c, ok := rel.ColumnByName(name); ok {
 		return c, true

@@ -8,7 +8,7 @@ package engine
 // reference_test.go.
 
 // execStringKeys forces the string-key fallback over packed uint64 group
-// keys and hash-join build keys.
+// keys.
 func execStringKeys() ExecOption {
 	return func(c *execConfig) { c.stringKeys = true }
 }

@@ -164,6 +164,17 @@ func FuzzExec(f *testing.F) {
 		"select e1.src, count(*) as c from edges e1 join e2 on e1.dst = e2.src group by e1.src",
 		"select e1.src, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src join edges e3 on e2.dst = e3.src and e3.dst = e1.src group by e1.src order by c desc",
 		"select d1.region, d2.region, count(*) as c from dim d1 join dim d2 on d1.a = d2.a group by d1.region, d2.region",
+		// WHERE pushed into the join: on the fact table, on a dimension, on
+		// join-key columns (both sides), on one alias of a self-join (acyclic
+		// and cyclic), and WHEREs that empty a dimension or the fact table.
+		"select region, avg(rating) as v from t join dim on t.a = dim.a where adventure = 1 group by region order by v desc",
+		"select region, gender, count(*) as c from t join dim on t.a = dim.a where region <> 'west' and gender = 'M' group by region, gender order by c desc",
+		"select region, sum(stars) as v from t join dim on t.a = dim.a join fdim on t.rating = fdim.rating where fdim.rating >= 0 and t.a = 'x' group by region order by v desc",
+		"select stars, count(*) as c from t join fdim on t.rating = fdim.rating where t.rating < 5 group by stars",
+		"select e1.src, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src where e2.dst > 2 group by e1.src order by c desc",
+		"select e1.src, count(*) as c from edges e1 join edges e2 on e1.dst = e2.src join edges e3 on e2.dst = e3.src and e3.dst = e1.src where e3.src <> 3 group by e1.src order by c desc",
+		"select region, count(*) as c from t join dim on t.a = dim.a where region = 'south' group by region",
+		"select region, avg(t.rating) as v from t join dim on t.a = dim.a join fdim on t.rating = fdim.rating where adventure > 5 group by region",
 	}
 	for _, s := range seeds {
 		f.Add(s)

@@ -4,29 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/bits"
 	"strings"
 	"sync"
 	"sync/atomic"
 
 	"qagview/internal/obs"
-	"qagview/internal/pattern"
 	"qagview/internal/relation"
 )
 
-// This file implements multi-table execution. A join query runs in three
-// stages: planJoin resolves the FROM relations, ON conditions and column
-// references (producing every name-resolution error); a join algorithm
-// computes the matching row-id tuples in the canonical order — lexicographic
-// by FROM-position row ids, the order the nested-loop reference produces
-// naturally; and materialize gathers the referenced columns into an
-// anonymous joined relation that the unchanged single-table executors
-// aggregate over. Two production algorithms produce the same tuples, bit
-// for bit, as the FROM-order nested-loop oracle (nestedLoopTuples, in
-// reference_test.go):
+// This file implements multi-table execution. A join query runs in four
+// stages and never builds a joined relation: planJoin resolves the FROM
+// relations, ON conditions and column references (producing every
+// name-resolution error), and the aggregation is planned once over the
+// join's zero-row output schema; filter pushes WHERE down, evaluating each
+// conjunct once over the one base table it reads; a join algorithm computes
+// the matching row-id tuples over the surviving rows in the canonical order
+// — lexicographic by FROM-position row ids, the order the nested-loop
+// reference produces naturally; and gather aggregates over the tuples with
+// the single-table pipeline, keying groups on the base tables' cached
+// dictionary codes read through the tuples. Two production algorithms
+// produce the same tuples, bit for bit, as the FROM-order nested-loop
+// oracle (nestedLoopTuples, in reference_test.go), which joins every row
+// and filters after the join:
 //
-//   - hashTuples: a left-deep binary hash-join plan with a morsel-parallel
-//     probe (chosen for acyclic join graphs);
+//   - hashTuples: a left-deep binary hash-join plan over flat CSR build
+//     indexes with a morsel-parallel probe (chosen for acyclic join graphs);
 //   - leapfrogTuples (wcoj.go): the worst-case-optimal generic join (chosen
 //     for cyclic graphs, where binary plans can materialize
 //     asymptotically larger intermediates).
@@ -59,9 +61,9 @@ type boundCond struct {
 	key    joinKeyKind
 }
 
-// joinRef is one distinct column reference the aggregation reads, in
-// first-use order; its name is the exact reference text, which becomes the
-// materialized column name planQuery resolves against.
+// joinRef is one distinct column reference the query reads, in first-use
+// order; its name is the exact reference text, which names its column in
+// schemaRel.
 type joinRef struct {
 	name     string
 	tab, col int
@@ -382,8 +384,11 @@ func (jp *joinPlan) collectRefs() error {
 
 func (jp *joinPlan) joinedName() string { return strings.Join(jp.names, "+") }
 
-// schemaRel is the joined relation's shape with zero rows, used to validate
-// the aggregation before paying for the join.
+// schemaRel is the join's output shape with zero rows: one column per
+// distinct reference, named by its exact text. The aggregation is planned
+// once against it, before the join runs, so type and ORDER BY errors surface
+// identically on every path; each planned column then names its base column
+// through refOf.
 func (jp *joinPlan) schemaRel() (*relation.Relation, error) {
 	cols := make([]relation.Column, len(jp.refs))
 	for i, rf := range jp.refs {
@@ -392,43 +397,15 @@ func (jp *joinPlan) schemaRel() (*relation.Relation, error) {
 	return relation.FromColumns(jp.joinedName(), cols...)
 }
 
-// materialize gathers the referenced columns through the row-id tuples into
-// the anonymous joined relation the aggregation runs over. Column names are
-// the exact reference texts, so planQuery resolves them by direct lookup.
-func (jp *joinPlan) materialize(tuples [][]int32) (*relation.Relation, error) {
-	n := 0
-	if len(tuples) > 0 {
-		n = len(tuples[0])
-	}
-	cols := make([]relation.Column, len(jp.refs))
-	for i, rf := range jp.refs {
-		src := jp.rels[rf.tab].Column(rf.col)
-		rows := tuples[rf.tab]
-		switch src.Kind {
-		case relation.KindString:
-			vals := make([]string, n)
-			for k, r := range rows {
-				vals[k] = src.Str[r]
-			}
-			cols[i] = relation.StringCol(rf.name, vals)
-		case relation.KindInt:
-			vals := make([]int64, n)
-			for k, r := range rows {
-				vals[k] = src.Int[r]
-			}
-			cols[i] = relation.IntCol(rf.name, vals)
-		default:
-			vals := make([]float64, n)
-			for k, r := range rows {
-				vals[k] = src.Float[r]
-			}
-			cols[i] = relation.FloatCol(rf.name, vals)
-		}
-	}
-	return relation.FromColumns(jp.joinedName(), cols...)
+// refOf returns the reference behind a column of p, which was planned over
+// schemaRel.
+func (jp *joinPlan) refOf(p *execPlan, c *relation.Column) joinRef {
+	return jp.refs[p.rel.ColumnIndex(c.Name)]
 }
 
-// executeJoin plans and runs a multi-table query end to end.
+// executeJoin plans and runs a multi-table query end to end: filter each
+// base table, join the survivors into row-id tuples, and aggregate over the
+// base tables' dictionary codes read through the tuples.
 func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	ctx, jsp := obs.StartSpan(cfg.ctx, "join")
 	if jsp != nil {
@@ -439,14 +416,12 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	plSt := cfg.prof.op("join.plan")
 	t0 := profNow(plSt)
 	_, psp := obs.StartSpan(cfg.ctx, "join.plan")
+	var p *execPlan
 	jp, err := planJoin(cat, q)
 	if err == nil {
-		// Validate the aggregation against the join's output schema before
-		// paying for the join: planQuery over the zero-row shape surfaces
-		// type and ORDER BY errors up front, identically on every path.
 		var srel *relation.Relation
 		if srel, err = jp.schemaRel(); err == nil {
-			_, err = planQuery(srel, q)
+			p, err = planQuery(srel, q)
 		}
 	}
 	psp.End()
@@ -454,61 +429,146 @@ func executeJoin(cat Catalog, q *Query, cfg execConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	sel := jp.filter(p, cfg)
 	var tuples [][]int32
 	if cfg.joins == joinGeneric || (cfg.joins == joinAuto && jp.cyclic) {
-		tuples, err = jp.leapfrogOp(cfg)
+		tuples, err = jp.leapfrogOp(sel, cfg)
 	} else {
-		tuples, err = jp.hashTuples(cfg)
+		tuples, err = jp.hashTuples(sel, cfg)
 	}
 	if err != nil {
 		return nil, err
 	}
-	mSt := cfg.prof.op("join.materialize")
-	t1 := profNow(mSt)
-	_, msp := obs.StartSpan(cfg.ctx, "join.materialize")
-	jrel, err := jp.materialize(tuples)
-	msp.End()
-	mSt.addWall(t1)
-	if err != nil {
-		return nil, err
+	return executeVec(jp.gather(p, tuples, cfg), cfg)
+}
+
+// filter pushes WHERE down to the base tables: every conjunct reads one
+// FROM position, so it runs once over that table's rows with the vectorized
+// predicate kernels. sel[t] lists table t's surviving rows ascending, or is
+// nil when no conjunct reads t. The joins then see only survivors, so their
+// tuples are the nested-loop tuples that pass WHERE, in the same order.
+func (jp *joinPlan) filter(p *execPlan, cfg execConfig) [][]int32 {
+	sel := make([][]int32, len(jp.rels))
+	parent := obs.FromContext(cfg.ctx)
+	for t, rel := range jp.rels {
+		var st *opStats
+		if cfg.prof != nil {
+			st = cfg.prof.op("join.filter(" + jp.names[t] + ")")
+		}
+		t0 := profNow(st)
+		sp := parent.Child("join.filter")
+		n := rel.NumRows()
+		for _, pb := range p.preds {
+			rf := jp.refOf(p, pb.col)
+			if rf.tab != t {
+				continue
+			}
+			pb.col = rel.Column(rf.col)
+			if sel[t] == nil {
+				sel[t] = filterRange(pb, 0, int32(n), make([]int32, 0, n))
+			} else {
+				sel[t] = filterSel(pb, sel[t])
+			}
+		}
+		out := n
+		if sel[t] != nil {
+			out = len(sel[t])
+		}
+		sp.SetAttr("table", jp.names[t])
+		sp.SetInt("rows_in", int64(n))
+		sp.SetInt("rows_out", int64(out))
+		sp.End()
+		st.observe(int64(n), int64(out), t0)
 	}
-	nTuples := 0
-	if len(tuples) > 0 {
-		nTuples = len(tuples[0])
+	return sel
+}
+
+// gather sets up the aggregation over the join's tuples without building a
+// joined relation. Each group column keys on its base table's cached
+// dictionary codes, read through the tuples (the base cardinality sets the
+// packed width; two tuples share a code exactly when they share the
+// rendered value), and finalize renders it from the base column at the
+// group's first tuple. The aggregate and HAVING arguments are gathered into
+// float columns, ints converting exactly like FloatAt.
+func (jp *joinPlan) gather(p *execPlan, tuples [][]int32, cfg execConfig) *vecPlan {
+	st := cfg.prof.op("join.gather")
+	t0 := profNow(st)
+	_, sp := obs.StartSpan(cfg.ctx, "join.gather")
+	n := len(tuples[0])
+	m := len(p.groupCols)
+	gp := &execPlan{rel: p.rel, q: p.q, groupCols: make([]*relation.Column, m), havingCols: make([]*relation.Column, len(p.havingCols))}
+	vp := &vecPlan{execPlan: gp, n: n, codes: make([][]int32, m), rowOf: make([][]int32, m)}
+	dicts := make([]*relation.ColDict, m)
+	dsp := dictSpan(cfg.ctx, m)
+	for j, c := range p.groupCols {
+		rf := jp.refOf(p, c)
+		dicts[j] = jp.rels[rf.tab].DictCodes(rf.col)
+		gp.groupCols[j], vp.rowOf[j] = jp.rels[rf.tab].Column(rf.col), tuples[rf.tab]
 	}
-	mSt.addRows(int64(nTuples), int64(jrel.NumRows()))
-	msp.SetInt("rows", int64(jrel.NumRows()))
-	pSt := cfg.prof.op("plan")
-	t2 := profNow(pSt)
-	_, qsp := obs.StartSpan(cfg.ctx, "plan")
-	p, err := planQuery(jrel, q)
-	qsp.End()
-	pSt.addWall(t2)
-	if err != nil {
-		return nil, err
+	dsp.End()
+	cards := make([]int, m)
+	for j, d := range dicts {
+		codes := make([]int32, n)
+		for k, r := range vp.rowOf[j] {
+			codes[k] = d.Codes[r]
+		}
+		vp.codes[j], cards[j] = codes, d.Card
 	}
-	return executeVec(p, cfg)
+	num := func(c *relation.Column) *relation.Column {
+		if c == nil {
+			return nil // count(*)
+		}
+		rf := jp.refOf(p, c)
+		vals := make([]float64, n)
+		gather(jp.rels[rf.tab].Column(rf.col), tuples[rf.tab], vals)
+		return &relation.Column{Name: c.Name, Kind: relation.KindFloat, Float: vals}
+	}
+	gp.aggCol = num(p.aggCol)
+	for h, c := range p.havingCols {
+		gp.havingCols[h] = num(c)
+	}
+	vp.layoutKeys(cards, cfg.stringKeys)
+	sp.SetInt("tuples", int64(n))
+	sp.End()
+	st.observe(int64(n), int64(n), t0)
+	return vp
 }
 
 // leapfrogOp runs the worst-case-optimal join under a span and profile
 // operator.
-func (jp *joinPlan) leapfrogOp(cfg execConfig) ([][]int32, error) {
+func (jp *joinPlan) leapfrogOp(sel [][]int32, cfg execConfig) ([][]int32, error) {
 	st := cfg.prof.op("join.leapfrog")
 	t0 := profNow(st)
 	_, sp := obs.StartSpan(cfg.ctx, "join.leapfrog")
-	tuples, err := jp.leapfrogTuples(cfg.ctx)
+	tuples, err := jp.leapfrogTuples(cfg.ctx, sel)
 	sp.End()
 	st.addWall(t0)
 	if err != nil {
 		return nil, err
 	}
-	n := 0
-	if len(tuples) > 0 {
-		n = len(tuples[0])
-	}
+	n := len(tuples[0])
 	st.addRows(0, int64(n))
 	sp.SetInt("tuples", int64(n))
 	return tuples, nil
+}
+
+// tupleBuf returns empty tuple columns sized for n tuples: a foreign-key
+// probe emits at most one tuple per probe row, so appends rarely regrow.
+func tupleBuf(width, n int) [][]int32 {
+	buf := make([][]int32, width)
+	for t := range buf {
+		buf[t] = make([]int32, 0, n)
+	}
+	return buf
+}
+
+// allRows returns the row ids 0..n-1, the row list of an unfiltered table.
+func allRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
+	}
+	return rows
 }
 
 // ---- binary hash join ----
@@ -588,21 +648,20 @@ func buildJoinCodes(rel *relation.Relation, col int, kind joinKeyKind) ([]int32,
 }
 
 // hashTuples runs the left-deep binary plan: tuples over the first table
-// start as its ascending row ids, and every JOIN step builds a hash table
-// over the new table keyed by its ON columns' join codes — packed into one
-// uint64 via pattern.NewCodec when the dictionary widths fit, concatenated
-// little-endian bytes otherwise — and probes it with the current tuples,
-// morsel-parallel with a shard-ordered merge. Probing tuples in order and
-// storing build rows ascending keeps the output in canonical lexicographic
-// order at every worker count.
-func (jp *joinPlan) hashTuples(cfg execConfig) ([][]int32, error) {
-	base := make([]int32, jp.rels[0].NumRows())
-	for i := range base {
-		base[i] = int32(i)
+// start as its surviving rows, ascending, and every JOIN step builds an
+// index over the new table's surviving rows keyed by its ON columns' join
+// codes and probes it with the current tuples, morsel-parallel with a
+// shard-ordered merge. Probing tuples in order and listing build rows
+// ascending per key keeps the output in canonical lexicographic order at
+// every worker count.
+func (jp *joinPlan) hashTuples(sel [][]int32, cfg execConfig) ([][]int32, error) {
+	base := sel[0]
+	if base == nil {
+		base = allRows(jp.rels[0].NumRows())
 	}
 	cur := [][]int32{base}
 	for step := range jp.steps {
-		next, err := jp.hashStep(cur, step, cfg)
+		next, err := jp.hashStep(cur, step, sel[step+1], cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -611,7 +670,9 @@ func (jp *joinPlan) hashTuples(cfg execConfig) ([][]int32, error) {
 	return cur, nil
 }
 
-func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32, error) {
+// hashStep joins table step+1, restricted to its surviving rows keep (nil:
+// every row), onto the tuples cur.
+func (jp *joinPlan) hashStep(cur [][]int32, step int, keep []int32, cfg execConfig) ([][]int32, error) {
 	newT := step + 1
 	nProbe := len(cur[0])
 	if nProbe == 0 {
@@ -657,90 +718,73 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 		probeTab[k] = c.lt
 	}
 
-	// Key layout: packed when the per-condition code widths fit one word.
-	var shifts []uint
-	packed := false
-	if !cfg.stringKeys {
-		if codec, ok := pattern.NewCodec(cards); ok {
-			packed = true
-			shifts = make([]uint, nc)
-			for k := range shifts {
-				shifts[k] = uint(bits.TrailingZeros64(codec.Field(k)))
+	// Key ids: a single condition's id is its build code. A composite key
+	// is numbered once, here, one condition at a time: each (id so far,
+	// next condition's code) pair present on the build side gets a dense
+	// first-seen id, so every level is one word.
+	if keep == nil {
+		keep = allRows(build.NumRows())
+	}
+	ids := make([]int32, len(keep))
+	for i, r := range keep {
+		ids[i] = codes[0][r]
+	}
+	nKeys := cards[0]
+	pairs := make([]map[uint64]int32, nc) // pairs[k], k >= 1: (id, code k) -> id
+	for k := 1; k < nc; k++ {
+		pairs[k] = make(map[uint64]int32)
+		for i, r := range keep {
+			pk := uint64(uint32(ids[i]))<<32 | uint64(uint32(codes[k][r]))
+			id, ok := pairs[k][pk]
+			if !ok {
+				id = int32(len(pairs[k]))
+				pairs[k][pk] = id
 			}
+			ids[i] = id
 		}
+		nKeys = len(pairs[k])
 	}
 
-	// Build table: rows scanned ascending, so every key's row list is
-	// ascending and probe output stays in canonical order.
-	nb := build.NumRows()
-	var hmap map[uint64][]int32
-	var smap map[string][]int32
-	if packed {
-		hmap = make(map[uint64][]int32, nb)
-		for r := 0; r < nb; r++ {
-			var key uint64
-			for k := range codes {
-				key |= uint64(uint32(codes[k][r])) << shifts[k]
-			}
-			hmap[key] = append(hmap[key], int32(r))
-		}
-	} else {
-		smap = make(map[string][]int32, nb)
-		var kb []byte
-		for r := 0; r < nb; r++ {
-			kb = kb[:0]
-			for k := range codes {
-				c := uint32(codes[k][r])
-				kb = append(kb, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-			}
-			smap[string(kb)] = append(smap[string(kb)], int32(r))
-		}
+	// Build index in CSR form: key id k's rows are rows[off[k]:off[k+1]],
+	// placed by a stable counting sort, so ascending within each key.
+	off := make([]int32, nKeys+1)
+	for _, id := range ids {
+		off[id+1]++
+	}
+	for k := 1; k <= nKeys; k++ {
+		off[k] += off[k-1]
+	}
+	rows := make([]int32, len(keep))
+	fill := append([]int32(nil), off[:nKeys]...)
+	for i, id := range ids {
+		rows[fill[id]] = keep[i]
+		fill[id]++
 	}
 
-	bsp.SetInt("rows", int64(nb))
+	bsp.SetInt("rows", int64(len(keep)))
 	bsp.End()
-	bSt.observe(int64(nb), int64(nb), tBuild)
+	bSt.observe(int64(build.NumRows()), int64(len(keep)), tBuild)
 	psp := stepParent.Child("join.probe")
 	psp.SetAttr("table", jp.names[newT])
 
 	// probe translates one morsel of tuples and appends every match to dst.
+	// A probe code of -1 (value absent from the build side) never forms a
+	// build pair, so it misses at its level.
 	probe := func(lo, hi int, dst [][]int32) [][]int32 {
-		var kb []byte
 		for i := lo; i < hi; i++ {
-			var rows []int32
-			if packed {
-				var key uint64
-				miss := false
-				for k := range trans {
-					bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
-					if bc < 0 {
-						miss = true
-						break
-					}
-					key |= uint64(uint32(bc)) << shifts[k]
+			id := trans[0][probeCodes[0][cur[probeTab[0]][i]]]
+			for k := 1; k < nc && id >= 0; k++ {
+				bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
+				if pid, ok := pairs[k][uint64(uint32(id))<<32|uint64(uint32(bc))]; ok {
+					id = pid
+				} else {
+					id = -1
 				}
-				if miss {
-					continue
-				}
-				rows = hmap[key]
-			} else {
-				kb = kb[:0]
-				miss := false
-				for k := range trans {
-					bc := trans[k][probeCodes[k][cur[probeTab[k]][i]]]
-					if bc < 0 {
-						miss = true
-						break
-					}
-					c := uint32(bc)
-					kb = append(kb, byte(c), byte(c>>8), byte(c>>16), byte(c>>24))
-				}
-				if miss {
-					continue
-				}
-				rows = smap[string(kb)]
 			}
-			for _, br := range rows {
+			if id < 0 {
+				continue
+			}
+			for _, br := range rows[off[id]:off[id+1]] {
 				for t := 0; t < newT; t++ {
 					dst[t] = append(dst[t], cur[t][i])
 				}
@@ -756,7 +800,7 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 		workers = nM
 	}
 	if workers <= 1 {
-		dst := make([][]int32, newT+1)
+		dst := tupleBuf(newT+1, nProbe)
 		for m := 0; m < nM; m++ {
 			if cfg.ctx != nil && cfg.ctx.Err() != nil {
 				psp.End()
@@ -803,14 +847,14 @@ func (jp *joinPlan) hashStep(cur [][]int32, step int, cfg execConfig) ([][]int32
 				lo := i * morselRows
 				hi := min(lo+morselRows, nProbe)
 				t0 := profNow(prSt)
-				out := probe(lo, hi, make([][]int32, newT+1))
+				out := probe(lo, hi, tupleBuf(newT+1, hi-lo))
 				prSt.observe(int64(hi-lo), int64(len(out[newT])), t0)
 				results[i] = out
 				close(done[i])
 			}
 		}()
 	}
-	out := make([][]int32, newT+1)
+	out := tupleBuf(newT+1, nProbe)
 	for i := 0; i < nM; i++ {
 		<-done[i]
 		if results[i] == nil {

@@ -371,3 +371,57 @@ func TestJoinContextCancel(t *testing.T) {
 		}
 	}
 }
+
+// TestHashJoinManyToManyOrder pins the build index's row order on duplicate
+// build keys: each probe row's matches come out in ascending build-row
+// order, the nested-loop order, whether the key is one ON condition or a
+// composite of two, and whether the build side is filtered or not.
+func TestHashJoinManyToManyOrder(t *testing.T) {
+	cat := catalog{
+		"l": relation.MustFromColumns("l",
+			relation.IntCol("k", []int64{2, 1, 2, 3}),
+			relation.StringCol("s", []string{"a", "b", "a", "b"})),
+		"r": relation.MustFromColumns("r",
+			relation.IntCol("k", []int64{1, 2, 1, 2, 2, 9}),
+			relation.StringCol("s", []string{"b", "a", "x", "a", "b", "a"}),
+			relation.FloatCol("v", []float64{10, 20, 30, 40, 50, 60})),
+	}
+	cases := []struct {
+		sql  string
+		keep []int32 // surviving build rows; nil: all
+		want [2][]int32
+	}{
+		{"select l.k, sum(v) as x from l join r on l.k = r.k group by l.k", nil,
+			[2][]int32{{0, 0, 0, 1, 1, 2, 2, 2}, {1, 3, 4, 0, 2, 1, 3, 4}}},
+		{"select l.k, sum(v) as x from l join r on l.k = r.k and l.s = r.s group by l.k", nil,
+			[2][]int32{{0, 0, 1, 2, 2}, {1, 3, 0, 1, 3}}},
+		{"select l.k, sum(v) as x from l join r on l.k = r.k group by l.k", []int32{0, 3, 4, 5},
+			[2][]int32{{0, 0, 1, 2, 2}, {3, 4, 0, 3, 4}}},
+	}
+	for _, c := range cases {
+		q, err := Parse(c.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jp, err := planJoin(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, par := range []int{1, 8} {
+			got, err := jp.hashTuples([][]int32{nil, c.keep}, execConfig{par: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, c.want[:]) {
+				t.Fatalf("%s keep=%v par=%d: tuples %v, want %v", c.sql, c.keep, par, got, c.want)
+			}
+		}
+	}
+	for _, sql := range []string{
+		"select l.k, r.s, sum(v) as x from l join r on l.k = r.k group by l.k, r.s order by x desc",
+		"select l.s, count(*) as c from l join r on l.k = r.k and l.s = r.s where v > 10 group by l.s",
+		"select l.k, avg(v) as x from l join r on l.k = r.k where v <> 20 and l.s = 'a' group by l.k",
+	} {
+		joinGrid(t, cat, sql)
+	}
+}

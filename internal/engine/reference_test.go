@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/binary"
 	"math"
+
+	"qagview/internal/relation"
 )
 
 // This file holds the two differential-testing oracles the production paths
@@ -24,8 +26,8 @@ func referenceSQL(cat Catalog, sql string) (*Result, error) {
 
 // executeReference runs q through the oracles: single-table queries go
 // straight to executeRef; join queries are planned and validated exactly
-// like executeJoin, joined by nested loops, materialized, and aggregated by
-// executeRef. ctx is observed between first-table morsels of the nested
+// like executeJoin, joined by nested loops over every row, materialized, and
+// filtered and aggregated by executeRef. ctx is observed between first-table morsels of the nested
 // loop, as on the production join paths.
 func executeReference(ctx context.Context, cat Catalog, q *Query) (*Result, error) {
 	if len(q.Joins) == 0 {
@@ -63,6 +65,42 @@ func executeReference(ctx context.Context, cat Catalog, q *Query) (*Result, erro
 		return nil, err
 	}
 	return executeRef(p)
+}
+
+// materialize gathers the referenced columns through the row-id tuples into
+// an anonymous joined relation for executeRef to filter and aggregate.
+// Column names are the exact reference texts, so planQuery resolves them by
+// direct lookup. The production join never builds this relation: it pushes
+// WHERE into the join and aggregates over base-table codes (join.go), so the
+// oracle stays independent of both.
+func (jp *joinPlan) materialize(tuples [][]int32) (*relation.Relation, error) {
+	n := len(tuples[0])
+	cols := make([]relation.Column, len(jp.refs))
+	for i, rf := range jp.refs {
+		src := jp.rels[rf.tab].Column(rf.col)
+		rows := tuples[rf.tab]
+		switch src.Kind {
+		case relation.KindString:
+			vals := make([]string, n)
+			for k, r := range rows {
+				vals[k] = src.Str[r]
+			}
+			cols[i] = relation.StringCol(rf.name, vals)
+		case relation.KindInt:
+			vals := make([]int64, n)
+			for k, r := range rows {
+				vals[k] = src.Int[r]
+			}
+			cols[i] = relation.IntCol(rf.name, vals)
+		default:
+			vals := make([]float64, n)
+			for k, r := range rows {
+				vals[k] = src.Float[r]
+			}
+			cols[i] = relation.FloatCol(rf.name, vals)
+		}
+	}
+	return relation.FromColumns(jp.joinedName(), cols...)
 }
 
 // nestedLoopTuples is the reference join: FROM-order nested loops over

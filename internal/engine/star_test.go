@@ -83,6 +83,45 @@ func TestStarJoinMatchesFlatMovieLens(t *testing.T) {
 	}
 }
 
+// coldWheres are the WHERE clauses of the cold benchmark workload's query
+// family: none, a genre on the movies dimension, and an hour-of-day range
+// on the ratings fact table.
+var coldWheres = []string{"", "genre_drama = 1", "genre_comedy = 1", "genre_action = 0", "hourofday >= 12", "hourofday < 12"}
+
+// TestStarJoinPushdownMovieLens runs the cold benchmark's star joins — every
+// WHERE above × m 6–9 — against the flat table and the nested-loop oracle on
+// every worker count, key path and join mode. The WHERE is pushed into the
+// join (filtered per base table) and the aggregation keys on base-table
+// codes; the oracle filters after the join and re-encodes.
+func TestStarJoinPushdownMovieLens(t *testing.T) {
+	star, err := movielens.GenerateStar(movielens.Config{Users: 60, Movies: 80, Ratings: 1500, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat, err := movielens.Denormalize(star)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatCat := catalog{"RatingTable": flat}
+	starCat := catalog{}
+	for _, r := range star.Tables() {
+		starCat[r.Name()] = r
+	}
+	for m := 6; m <= 9; m++ {
+		for _, w := range coldWheres {
+			fq, err := movielens.Query(m, 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jq, err := movielens.JoinQuery(m, 0, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			starFlatGrid(t, fmt.Sprintf("m=%d where=%q", m, w), flatCat, starCat, fq, jq)
+		}
+	}
+}
+
 // TestStarJoinMatchesFlatTPCDS: the four-dimension TPC-DS star join
 // reproduces the flat store_sales aggregates, on the reference and on every
 // production and forced join path.

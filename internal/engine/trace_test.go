@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"sort"
 	"strings"
 	"testing"
 
+	"qagview/internal/movielens"
 	"qagview/internal/obs"
 )
 
@@ -104,8 +106,9 @@ func TestSpanNestingParallel(t *testing.T) {
 	}
 }
 
-// TestJoinSpans: a traced join query produces join.build/join.probe spans
-// (per step) plus the aggregation pipeline spans.
+// TestJoinSpans: a traced join query produces join.filter spans (per
+// table), join.build/join.probe spans (per step), join.gather with its dict
+// child, plus the aggregation pipeline spans.
 func TestJoinSpans(t *testing.T) {
 	cat := starCatalog(3 * morselRows)
 	ctx, tr, trace := tracedCtx(t)
@@ -120,11 +123,71 @@ func TestJoinSpans(t *testing.T) {
 	}
 	tr.Finish(trace)
 	snap, _ := tr.Get(trace.ID)
-	for _, name := range []string{"engine.execute", "join", "join.plan", "join.build", "join.probe", "join.materialize", "vexec", "scan", "merge", "finalize"} {
+	for _, name := range []string{"engine.execute", "join", "join.plan", "join.filter", "join.build", "join.probe", "join.gather", "dict", "vexec", "scan", "merge", "finalize"} {
 		if _, ok := findSpan(snap.Root, name); !ok {
 			t.Fatalf("missing span %q in traced join query", name)
 		}
 	}
+}
+
+// TestJoinSpansCoverExecute: a traced star join on a fresh catalog — every
+// dictionary encode and code index is built inside the query — leaves at
+// most 10% of engine.execute outside the named stages. The stages are
+// leaves or have their own children; engine.execute, join and vexec only
+// group them, so their self time is the unattributed time.
+func TestJoinSpansCoverExecute(t *testing.T) {
+	star, err := movielens.GenerateStar(movielens.Config{Users: 943, Movies: 1682, Ratings: 40_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := catalog{}
+	for _, r := range star.Tables() {
+		cat[r.Name()] = r
+	}
+	sql, err := movielens.JoinQuery(9, 10, "genre_drama = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, tr, trace := tracedCtx(t)
+	if _, err := ExecuteSQL(cat, sql, ExecParallelism(2), ExecContext(ctx)); err != nil {
+		t.Fatal(err)
+	}
+	tr.Finish(trace)
+	snap, _ := tr.Get(trace.ID)
+	exec, ok := findSpan(snap.Root, "engine.execute")
+	if !ok {
+		t.Fatal("no engine.execute span")
+	}
+	var unattributed int64
+	var walk func(s obs.SpanSnapshot)
+	walk = func(s obs.SpanSnapshot) {
+		switch s.Name {
+		case "engine.execute", "join", "vexec":
+			unattributed += selfUS(s)
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(exec)
+	if unattributed*10 > exec.DurUS {
+		t.Fatalf("%d of %d µs of engine.execute are outside its stages:\n%+v", unattributed, exec.DurUS, exec)
+	}
+}
+
+// selfUS is a span's duration minus the union of its children's intervals.
+func selfUS(s obs.SpanSnapshot) int64 {
+	kids := append([]obs.SpanSnapshot(nil), s.Children...)
+	sort.Slice(kids, func(a, b int) bool { return kids[a].StartUS < kids[b].StartUS })
+	covered, end := int64(0), s.StartUS
+	for _, k := range kids {
+		lo, hi := max(k.StartUS, end), min(k.StartUS+k.DurUS, s.StartUS+s.DurUS)
+		if hi > lo {
+			covered += hi - lo
+			end = hi
+		}
+	}
+	return s.DurUS - covered
 }
 
 // TestEquivalenceUnderTracing re-runs the bit-identity grid with tracing
@@ -207,7 +270,7 @@ func TestExecProfileContents(t *testing.T) {
 		names = append(names, op.Op)
 	}
 	joined := strings.Join(names, ",")
-	for _, want := range []string{"join.plan", "join.build(items)", "join.probe(items)", "join.materialize", "plan", "scan", "merge", "finalize"} {
+	for _, want := range []string{"join.plan", "join.filter(facts)", "join.filter(items)", "join.build(items)", "join.probe(items)", "join.gather", "scan", "merge", "finalize"} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("join profile missing %q: %v", want, names)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"math/bits"
 	"strconv"
@@ -13,13 +14,13 @@ import (
 )
 
 // This file implements the vectorized, morsel-parallel executor behind
-// Execute. The relation is cut into fixed-size morsels of consecutive rows;
-// workers pull morsels from a shared counter and run the per-row work that
-// parallelizes — predicate kernels producing selection vectors, dictionary
-// codes packed into uint64 group keys, per-morsel grouping into a local
-// open-addressing table, and gathers of the aggregate columns — while one
-// deterministic merge consumes the morsels in shard order and folds them
-// into the global group table.
+// Execute. The relation (for a join, its row-id tuples) is cut into
+// fixed-size morsels of consecutive rows; workers pull morsels from a
+// shared counter and run the per-row work that parallelizes — predicate
+// kernels producing selection vectors, dictionary codes packed into uint64
+// group keys, per-morsel grouping into a local open-addressing table, and
+// gathers of the aggregate columns — while one deterministic merge consumes
+// the morsels in shard order and folds them into the global group table.
 //
 // The merge is what makes the output bit-identical to the row-at-a-time
 // reference (executeRef, a test-only oracle) at every worker count: morsels
@@ -44,40 +45,62 @@ const morselRows = 4096
 const fibHash = 0x9E3779B97F4A7C15
 
 // vecPlan extends the resolved plan with the vectorized execution state:
-// per-group-column dictionary codes and the packed-key layout.
+// the rows to scan, per-group-column dictionary codes and the packed-key
+// layout. A single-table plan scans the relation's rows; a join plan
+// (joinPlan.gather) scans the join's row-id tuples, and rowOf maps each
+// tuple back to the base row its group column renders from.
 type vecPlan struct {
 	*execPlan
-	codes  [][]int32 // dictionary codes per group column, full-table
+	n      int       // rows scanned
+	codes  [][]int32 // dictionary code per scanned row, per group column
+	rowOf  [][]int32 // join plans: base row per scanned row, per group column
 	shifts []uint    // bit offset of each group column's packed field
 	packed bool      // false: string-key fallback (widths exceed 64 bits)
 }
 
-// newVecPlan derives the key representation: per-attribute field widths from
-// the dictionary cardinalities via pattern.NewCodec (the width-derivation
-// trick of the packed-pattern fast path), falling back to string keys when
-// the summed widths overflow one word.
-func newVecPlan(p *execPlan, forceStringKeys bool) *vecPlan {
+// newVecPlan sets up a single-table plan over the relation's cached
+// dictionary codes.
+func newVecPlan(p *execPlan, cfg execConfig) *vecPlan {
 	m := len(p.groupCols)
-	vp := &vecPlan{execPlan: p, codes: make([][]int32, m)}
+	vp := &vecPlan{execPlan: p, n: p.rel.NumRows(), codes: make([][]int32, m)}
 	cards := make([]int, m)
+	sp := dictSpan(cfg.ctx, m)
 	for j, c := range p.groupCols {
 		d := p.rel.DictCodes(p.rel.ColumnIndex(c.Name))
 		vp.codes[j] = d.Codes
 		cards[j] = d.Card
 	}
+	sp.End()
+	vp.layoutKeys(cards, cfg.stringKeys)
+	return vp
+}
+
+// dictSpan opens the span that times fetching the group columns'
+// dictionary codes: cached after a column's first use, built (an encode
+// pass over the column) on it.
+func dictSpan(ctx context.Context, columns int) *obs.Span {
+	_, sp := obs.StartSpan(ctx, "dict")
+	sp.SetInt("columns", int64(columns))
+	return sp
+}
+
+// layoutKeys derives the key representation: per-attribute field widths
+// from the dictionary cardinalities via pattern.NewCodec (the
+// width-derivation trick of the packed-pattern fast path), falling back to
+// string keys when the summed widths overflow one word.
+func (vp *vecPlan) layoutKeys(cards []int, forceStringKeys bool) {
 	if forceStringKeys {
-		return vp
+		return
 	}
 	codec, ok := pattern.NewCodec(cards)
 	if !ok {
-		return vp
+		return
 	}
 	vp.packed = true
-	vp.shifts = make([]uint, m)
+	vp.shifts = make([]uint, len(cards))
 	for j := range vp.shifts {
 		vp.shifts[j] = uint(bits.TrailingZeros64(codec.Field(j)))
 	}
-	return vp
 }
 
 // ---- predicate kernels ----
@@ -642,7 +665,8 @@ func (t *groupTable) mergeMorsel(vp *vecPlan, b *morselBuf) {
 }
 
 // finalizeResult renders the merged groups: HAVING filter, group rows from
-// each group's first matching row, then the shared ORDER BY / LIMIT pass.
+// each group's first matching row (through rowOf on a join), then the
+// shared ORDER BY / LIMIT pass.
 func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 	q := vp.q
 	res := &Result{GroupBy: append([]string(nil), q.GroupBy...), ValName: q.Agg.Alias, Table: q.Table, Tables: q.Tables()}
@@ -659,9 +683,13 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 			continue
 		}
 		row := make([]string, len(vp.groupCols))
-		fr := int(t.firstRow[g])
+		fr := t.firstRow[g]
 		for j, c := range vp.groupCols {
-			row[j] = c.StringAt(fr)
+			r := fr
+			if vp.rowOf != nil {
+				r = vp.rowOf[j][fr]
+			}
+			row[j] = c.StringAt(int(r))
 		}
 		res.Rows = append(res.Rows, row)
 		res.Vals = append(res.Vals, finalize(q.Agg.Fn, t.sum[g], t.cnt[g], t.min[g], t.max[g]))
@@ -675,8 +703,7 @@ func (t *groupTable) finalizeResult(vp *vecPlan) *Result {
 // executeVec runs the vectorized pipeline, checking the pooled group table
 // out and back in around the actual run so the table is returned exactly
 // once on every path (success or cancellation).
-func executeVec(p *execPlan, cfg execConfig) (*Result, error) {
-	vp := newVecPlan(p, cfg.stringKeys)
+func executeVec(vp *vecPlan, cfg execConfig) (*Result, error) {
 	t := tablePool.Get().(*groupTable)
 	t.resetFor(len(vp.havingCols))
 	res, err := vp.run(t, cfg)
@@ -692,7 +719,7 @@ func executeVec(p *execPlan, cfg execConfig) (*Result, error) {
 // spans when parallel), a "merge" operator, and a "finalize" operator —
 // and never change claim order or accumulation order.
 func (vp *vecPlan) run(t *groupTable, cfg execConfig) (*Result, error) {
-	n := vp.rel.NumRows()
+	n := vp.n
 	nMorsels := (n + morselRows - 1) / morselRows
 	workers := cfg.par
 	if workers > nMorsels {

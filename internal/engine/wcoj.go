@@ -105,8 +105,9 @@ func (jp *joinPlan) jointCodes(v int) map[[2]int][]int32 {
 	return out
 }
 
-// newLeapfrog builds the tries.
-func (jp *joinPlan) newLeapfrog() *leapfrog {
+// newLeapfrog builds the tries over each table's surviving rows sel[t]
+// (nil: every row).
+func (jp *joinPlan) newLeapfrog(sel [][]int32) *leapfrog {
 	nt := len(jp.rels)
 	nv := len(jp.varOccs)
 	lf := &leapfrog{jp: jp, tables: make([]*lfTable, nt), atVar: make([][]lfPart, nv)}
@@ -152,11 +153,14 @@ func (jp *joinPlan) newLeapfrog() *leapfrog {
 				lt.vars = append(lt.vars, v)
 			}
 		}
-		n := jp.rels[t].NumRows()
-		rows := make([]int32, 0, n)
-		for r := 0; r < n; r++ {
+		cand := sel[t]
+		if cand == nil {
+			cand = allRows(jp.rels[t].NumRows())
+		}
+		rows := make([]int32, 0, len(cand))
+		for _, r := range cand {
 			if drop[t] == nil || !drop[t][r] {
-				rows = append(rows, int32(r))
+				rows = append(rows, r)
 			}
 		}
 		byVar := make([][]int32, len(lt.vars))
@@ -189,10 +193,10 @@ func (jp *joinPlan) newLeapfrog() *leapfrog {
 	return lf
 }
 
-// leapfrogTuples runs the generic join and returns the matching row-id
-// tuples in canonical lexicographic order.
-func (jp *joinPlan) leapfrogTuples(ctx context.Context) ([][]int32, error) {
-	lf := jp.newLeapfrog()
+// leapfrogTuples runs the generic join over the surviving rows sel and
+// returns the matching row-id tuples in canonical lexicographic order.
+func (jp *joinPlan) leapfrogTuples(ctx context.Context, sel [][]int32) ([][]int32, error) {
+	lf := jp.newLeapfrog(sel)
 	nt := len(jp.rels)
 	nv := len(jp.varOccs)
 	tuples := make([][]int32, nt)

@@ -115,7 +115,31 @@ func (d *durability) snapPath(table string) string {
 // ahead of disk by unacknowledged records, so after a crash a different
 // append can reuse a generation number, but never a fingerprint.
 func (d *durability) storePath(session, fp string) string {
-	return filepath.Join(d.dir, "stores", session+"-"+fp+".store")
+	return filepath.Join(d.storeDir(), session+"-"+fp+".store")
+}
+
+// storeDir is where session store snapshots live inside the WAL directory.
+func (d *durability) storeDir() string { return filepath.Join(d.dir, "stores") }
+
+// removeStaleTemps deletes the snap-*.tmp files that a crash between
+// writeSnapshotFile's create and rename left in the snapshot directories.
+// Recover runs before any snapshot writer starts, so every one is
+// orphaned.
+func (d *durability) removeStaleTemps() (int, error) {
+	removed := 0
+	for _, dir := range []string{d.tableSnapDir(), d.storeDir()} {
+		tmps, err := filepath.Glob(filepath.Join(dir, "snap-*.tmp"))
+		if err != nil {
+			return removed, err
+		}
+		for _, p := range tmps {
+			if err := os.Remove(p); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+	}
+	return removed, nil
 }
 
 // RecoverStats reports what Recover rebuilt.
@@ -132,12 +156,16 @@ type RecoverStats struct {
 	TruncatedBytes int64
 	// WALSizeBytes is the log size after recovery.
 	WALSizeBytes int64
+	// StaleTempsRemoved counts the orphaned snapshot temp files (a crash
+	// before their rename) that recovery deleted.
+	StaleTempsRemoved int
 }
 
 // Recover rebuilds the catalog from the WAL directory and opens the log
-// for appends: table snapshots first, then every WAL record not covered by
-// a snapshot, in append order, through the same parse-and-apply code as
-// the live write path. The result is bit-identical to the no-crash run —
+// for appends: it deletes snapshot temp files a crash left behind, loads
+// the table snapshots, then replays every WAL record not covered by a
+// snapshot, in append order, through the same parse-and-apply code as the
+// live write path. The result is bit-identical to the no-crash run —
 // same column contents, same data generations, and therefore the same
 // query results, cluster ids, and solutions.
 //
@@ -158,6 +186,10 @@ func (s *Server) Recover() (RecoverStats, error) {
 	d.mu.Unlock()
 
 	var stats RecoverStats
+	var err error
+	if stats.StaleTempsRemoved, err = d.removeStaleTemps(); err != nil {
+		return stats, err
+	}
 	// 1. Newest table snapshots: each carries the generation it covers.
 	tdir := d.tableSnapDir()
 	entries, err := os.ReadDir(tdir)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -200,6 +201,53 @@ func TestCheckpointAndRecoverFromSnapshot(t *testing.T) {
 	}
 	if got := queryBody(t, ts2); got != want {
 		t.Fatalf("recovered-from-snapshot query differs:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// TestRecoverRemovesStaleSnapshotTemps plants the temp files a crash
+// between a snapshot's create and its rename leaves behind, in both
+// snapshot directories: recovery deletes exactly those, counts them, and
+// still restores from the real snapshot.
+func TestRecoverRemovesStaleSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, _ := durableServer(t, dir, Config{})
+	createTestTable(t, ts)
+	mustAppend(t, ts, "t", testAppendBatches[0])
+	if err := srv.checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	want := queryBody(t, ts)
+	closeWAL(t, srv)
+	ts.Close()
+
+	stale := []string{
+		filepath.Join(srv.dur.tableSnapDir(), "snap-123.tmp"),
+		filepath.Join(srv.dur.storeDir(), "snap-456.tmp"),
+	}
+	keep := filepath.Join(srv.dur.storeDir(), "notes.txt")
+	if err := os.MkdirAll(srv.dur.storeDir(), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range append(stale, keep) {
+		if err := os.WriteFile(p, []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, ts2, stats := durableServer(t, dir, Config{})
+	if stats.StaleTempsRemoved != 2 || stats.SnapshotsLoaded != 1 {
+		t.Fatalf("recover stats: %+v, want 2 stale temps removed and 1 snapshot loaded", stats)
+	}
+	for _, p := range stale {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("stale temp %s survived recovery (stat err %v)", p, err)
+		}
+	}
+	if _, err := os.Stat(keep); err != nil {
+		t.Fatalf("recovery removed a file that is not a snapshot temp: %v", err)
+	}
+	if got := queryBody(t, ts2); got != want {
+		t.Fatalf("recovered query differs:\n%s\nvs\n%s", got, want)
 	}
 }
 
