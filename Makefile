@@ -1,16 +1,18 @@
 # Core benchmarks tracked across PRs: the precompute grid (allocations per
 # replay are the dense-engine target figure), the cluster-space build
-# (packed/slice keys across worker counts), the per-replay sweep unit, the
-# single-run algorithms, and the Delta-Judgment ablation; plus the query
-# executor and join paths, which live in internal/engine next to the
-# reference executor and forced-path switches they compare against.
-BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkApplyDelta|BenchmarkAppendWAL|BenchmarkTraceOverhead
+# (packed/slice keys across worker counts), a live-table refresh, the
+# per-replay sweep unit, the single-run algorithms, and the Delta-Judgment
+# ablation; plus the query executor and join paths, which live in
+# internal/engine next to the reference executor and forced-path switches
+# they compare against.
+BENCH_ROOT    := BenchmarkFig7PrecomputeKParallel|BenchmarkFig6VaryD|BenchmarkFig8Delta|BenchmarkBuildIndexMovieLens|BenchmarkLiveRefresh|BenchmarkAppendWAL|BenchmarkTraceOverhead
 BENCH_ENGINE  := BenchmarkExecuteMovieLens|BenchmarkJoinMovieLens|BenchmarkJoinTriangle
 BENCH_SUMMARIZE := BenchmarkSweeperRunD
 BENCH_COUNT   ?= 1
 BENCH_TIME    ?= 3x
 BENCH_OUT     ?= bench.txt
 BENCH_JSON    ?= BENCH_10.json
+LOC_OUT       ?= loc.txt
 
 .PHONY: build test race bench benchgate fuzz fmt vet lint qagcheck crash ci e2e serve loc
 
@@ -53,13 +55,15 @@ crash:
 
 # bench runs the tracked benchmarks with allocation reporting and writes the
 # result to $(BENCH_OUT), the artifact CI uploads as the perf baseline, plus
-# a machine-readable $(BENCH_JSON) (benchmark name -> ns/op, B/op, allocs/op)
-# so the perf trajectory can be diffed across PRs without text parsing.
+# a machine-readable $(BENCH_JSON) (benchmark name -> ns/op, B/op, allocs/op,
+# and under "loc" the per-package line counts of `make loc`) so the perf and
+# size trajectory can be diffed across PRs without text parsing.
 bench:
 	go test -run '^$$' -bench '$(BENCH_ROOT)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) . | tee $(BENCH_OUT)
 	go test -run '^$$' -bench '$(BENCH_ENGINE)' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) ./internal/engine/ | tee -a $(BENCH_OUT)
 	go test -run '^$$' -bench '$(BENCH_SUMMARIZE)' -benchmem -benchtime 50x -count $(BENCH_COUNT) ./internal/summarize/ | tee -a $(BENCH_OUT)
-	go run ./cmd/benchjson < $(BENCH_OUT) > $(BENCH_JSON)
+	$(MAKE) -s --no-print-directory loc > $(LOC_OUT)
+	go run ./cmd/benchjson -loc $(LOC_OUT) < $(BENCH_OUT) > $(BENCH_JSON)
 
 # benchgate re-measures and fails on a >30% regression against the
 # committed baseline (the CI bench job's gate). Refresh the baseline from a

@@ -320,55 +320,41 @@ func BenchmarkBuildIndexMovieLens(b *testing.B) {
 	}
 }
 
-// BenchmarkApplyDelta measures incremental cluster-space maintenance
-// against the full rebuild it replaces, on the MovieLens space (m=8,
-// N≈2087, L=500): a batch of answer-tuple appends ranking below the top L
-// (the common live-table case) is absorbed by Index.ApplyDelta — probing
-// only the appended tuples and splicing the coverage arena — versus
-// NewSpace + BuildIndex from scratch. Output is bit-identical either way
-// (see lattice's delta equivalence tests); single-row batches should be
-// well over an order of magnitude faster incrementally.
-func BenchmarkApplyDelta(b *testing.B) {
-	s := getState(b)
-	L := 500
-	if s.space.N() < L {
-		L = s.space.N()
-	}
-	base, err := lattice.BuildIndex(s.space, L)
-	if err != nil {
-		b.Fatal(err)
-	}
-	baseRows := make([][]string, s.space.N())
-	for i, tup := range s.space.Tuples {
-		baseRows[i] = s.space.Render(tup)
-	}
-	low := s.space.Vals[L-1] - 1
-	rng := rand.New(rand.NewSource(11))
-	for _, batch := range []int{1, 64, 4096} {
-		d := lattice.Delta{
-			AppendRows: make([][]string, batch),
-			AppendVals: make([]float64, batch),
-		}
-		for i := 0; i < batch; i++ {
-			d.AppendRows[i] = baseRows[rng.Intn(len(baseRows))]
-			d.AppendVals[i] = low - rng.Float64()
-		}
-		combinedRows := append(append([][]string(nil), baseRows...), d.AppendRows...)
-		combinedVals := append(append([]float64(nil), s.space.Vals...), d.AppendVals...)
-		b.Run(label("batch", batch)+"/incremental", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := base.ApplyDelta(d); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(label("batch", batch)+"/rebuild", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				sp, err := lattice.NewSpace(s.space.Attrs, combinedRows, combinedVals)
+// BenchmarkLiveRefresh measures a live-table refresh on 100k MovieLens
+// ratings: after a 20-rating append the AVG query's result changes, and
+// Live.Refresh rebuilds the cluster space and warms the sweeper chain onto
+// it, then Live.Precompute sweeps the (k, D) grid. Each iteration
+// alternates between the results before and after the append, so every
+// refresh sees a changed answer set; the query runs outside the timer.
+func BenchmarkLiveRefresh(b *testing.B) {
+	const base, batch, kMax = 100_000, 20, 12
+	ds := []int{1, 2, 3}
+	lt := newLiveTables(b, base+batch)
+	for _, c := range []struct{ m, L int }{{6, 500}, {8, 1000}} {
+		b.Run(label("m", c.m)+"/"+label("L", c.L), func(b *testing.B) {
+			sql := liveSQL(b, false, c.m)
+			var results [2]*qagview.Result
+			for i, n := range []int{base, base + batch} {
+				res, err := lt.db(b, n).Query(sql)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := lattice.BuildIndex(sp, L); err != nil {
+				results[i] = res
+			}
+			sum, err := qagview.NewSummarizer(results[0], min(c.L, results[0].N()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			live := qagview.NewLive(sum)
+			if _, err := live.Precompute(1, kMax, ds); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, changed, err := live.Refresh(results[(i+1)%2]); err != nil || !changed {
+					b.Fatalf("refresh: changed=%v err=%v", changed, err)
+				}
+				if _, err := live.Precompute(1, kMax, ds); err != nil {
 					b.Fatal(err)
 				}
 			}

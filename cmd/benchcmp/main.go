@@ -13,7 +13,9 @@
 // benchmarks the baseline lacks, so new entries don't silently stay
 // unguarded. CI boxes are noisy, so the default threshold is deliberately
 // loose (30%) — the gate exists to catch algorithmic regressions (a lost
-// fast path, an alloc-per-op explosion), not 5% jitter.
+// fast path, an alloc-per-op explosion), not 5% jitter. Per-package line
+// counts (the "loc" key `make bench` records) are printed for the record
+// and never fail the gate.
 package main
 
 import (
@@ -33,24 +35,31 @@ type result struct {
 	Runs        int      `json:"runs"`
 }
 
+// lineCount mirrors cmd/benchjson's per-package production/test line counts.
+type lineCount struct {
+	Prod int `json:"prod"`
+	Test int `json:"test"`
+}
+
 func main() {
 	baselinePath := flag.String("baseline", "bench_baseline.json", "committed baseline JSON")
 	candidatePath := flag.String("candidate", "BENCH_7.json", "freshly measured JSON")
 	threshold := flag.Float64("threshold", 0.30, "relative regression that fails the gate (0.30 = +30%)")
 	flag.Parse()
 
-	baseline, err := load(*baselinePath)
+	baseline, baseLoc, err := load(*baselinePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(2)
 	}
-	candidate, err := load(*candidatePath)
+	candidate, candLoc, err := load(*candidatePath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcmp:", err)
 		os.Exit(2)
 	}
 	report, extras, regressed := compare(baseline, candidate, *threshold)
 	fmt.Print(report)
+	fmt.Print(locReport(baseLoc, candLoc))
 	if len(extras) > 0 {
 		fmt.Print(refreshNote(extras, *candidatePath, *baselinePath))
 	}
@@ -70,19 +79,61 @@ profile between this branch and main (go test -bench <name> -cpuprofile).
 	fmt.Println("benchcmp: OK — no benchmark regressed past the threshold")
 }
 
-func load(path string) (map[string]result, error) {
+// load reads a BENCH json file: its benchmarks, and its line counts (nil
+// when the file has no "loc" key).
+func load(path string) (map[string]result, map[string]lineCount, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := map[string]result{}
-	if err := json.Unmarshal(raw, &out); err != nil {
-		return nil, fmt.Errorf("parsing %s: %w", path, err)
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		return nil, nil, fmt.Errorf("parsing %s: %w", path, err)
+	}
+	var loc map[string]lineCount
+	if l, ok := fields["loc"]; ok {
+		if err := json.Unmarshal(l, &loc); err != nil {
+			return nil, nil, fmt.Errorf("parsing %s line counts: %w", path, err)
+		}
+		delete(fields, "loc")
+	}
+	out := make(map[string]result, len(fields))
+	for name, f := range fields {
+		var r result
+		if err := json.Unmarshal(f, &r); err != nil {
+			return nil, nil, fmt.Errorf("parsing %s benchmark %s: %w", path, name, err)
+		}
+		out[name] = r
 	}
 	if len(out) == 0 {
-		return nil, fmt.Errorf("%s holds no benchmarks", path)
+		return nil, nil, fmt.Errorf("%s holds no benchmarks", path)
 	}
-	return out, nil
+	return out, loc, nil
+}
+
+// locReport renders the candidate's per-package production/test line
+// counts, with the change from the baseline where it has them. It is
+// informational only: line counts never fail the gate.
+func locReport(baseline, candidate map[string]lineCount) string {
+	if len(candidate) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(candidate))
+	for name := range candidate {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sb strings.Builder
+	sb.WriteString("\nlines of Go per package (prod, test; informational, never gated):\n")
+	for _, name := range names {
+		c := candidate[name]
+		fmt.Fprintf(&sb, "  %-40s %7d %7d", name, c.Prod, c.Test)
+		if b, ok := baseline[name]; ok {
+			fmt.Fprintf(&sb, "  (%+d, %+d)", c.Prod-b.Prod, c.Test-b.Test)
+		}
+		sb.WriteByte('\n')
+	}
+	return sb.String()
 }
 
 // compare renders the per-benchmark delta table, lists the candidate-only

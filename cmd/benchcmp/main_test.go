@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -112,5 +114,55 @@ func TestCompareNoExtras(t *testing.T) {
 	_, extras, _ := compare(m, m, 0.30)
 	if len(extras) != 0 {
 		t.Fatalf("extras = %v, want none", extras)
+	}
+}
+
+// TestLineCountsNeverGate pins the "loc" entry of a BENCH json: load splits
+// it from the benchmarks, locReport prints every candidate package with its
+// change from the baseline, and a large growth in lines fails nothing.
+func TestLineCountsNeverGate(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	basePath := write("base.json", `{
+  "BenchmarkSteady": {"ns_per_op": 5000, "allocs_per_op": 50, "runs": 3},
+  "loc": {"./internal/lattice": {"prod": 1556, "test": 1058}, "total": {"prod": 21963, "test": 15073}}
+}`)
+	candPath := write("cand.json", `{
+  "BenchmarkSteady": {"ns_per_op": 5000, "allocs_per_op": 50, "runs": 3},
+  "loc": {"./internal/lattice": {"prod": 9000, "test": 536}, "./cmd/new": {"prod": 40, "test": 0}, "total": {"prod": 29500, "test": 14500}}
+}`)
+	baseline, baseLoc, err := load(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidate, candLoc, err := load(candPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(baseline) != 1 || len(candidate) != 1 {
+		t.Fatalf("line counts leaked into the benchmarks: %v / %v", baseline, candidate)
+	}
+	report, extras, regressed := compare(baseline, candidate, 0.30)
+	if regressed || len(extras) != 0 {
+		t.Fatalf("line counts affected the gate (regressed=%v, extras=%v):\n%s", regressed, extras, report)
+	}
+	got := locReport(baseLoc, candLoc)
+	for _, want := range []string{
+		"./internal/lattice                          9000     536  (+7444, -522)",
+		"./cmd/new                                     40       0\n",
+		"total                                      29500   14500  (+7537, -573)",
+	} {
+		if !strings.Contains(got, want) {
+			t.Fatalf("line-count report missing %q:\n%s", want, got)
+		}
+	}
+	if locReport(baseLoc, nil) != "" {
+		t.Fatal("a candidate without line counts must print no line-count table")
 	}
 }

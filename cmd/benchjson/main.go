@@ -10,12 +10,16 @@
 //
 // Lines that are not benchmark results (headers, PASS/ok, warnings) are
 // ignored. Repeated runs of the same benchmark (-count > 1) are averaged.
+// -loc names a file holding `make loc` output; its per-package production
+// and test line counts go under the "loc" key, next to the benchmarks.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,18 +34,71 @@ type Result struct {
 	Runs        int      `json:"runs"`
 }
 
+// LineCount is one package's production and test Go line counts.
+type LineCount struct {
+	Prod int `json:"prod"`
+	Test int `json:"test"`
+}
+
 func main() {
+	locPath := flag.String("loc", "", "file holding `make loc` output to embed under \"loc\"")
+	flag.Parse()
 	results, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fail(err)
+	}
+	out := make(map[string]any, len(results)+1)
+	for name, r := range results {
+		out[name] = r
+	}
+	if *locPath != "" {
+		f, err := os.Open(*locPath)
+		if err != nil {
+			fail(err)
+		}
+		loc, err := parseLoc(f)
+		f.Close()
+		if err != nil {
+			fail(err)
+		}
+		out["loc"] = loc
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(results); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	if err := enc.Encode(out); err != nil {
+		fail(err)
 	}
+}
+
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "benchjson:", err)
+	os.Exit(1)
+}
+
+// parseLoc reads `make loc` output: a header line, then one
+// "<package> <prod> <test>" line per package and a final "total" line.
+func parseLoc(r io.Reader) (map[string]LineCount, error) {
+	out := map[string]LineCount{}
+	sc := bufio.NewScanner(r)
+	for sc.Scan() {
+		f := strings.Fields(sc.Text())
+		if len(f) != 3 || f[0] == "package" {
+			continue
+		}
+		prod, perr := strconv.Atoi(f[1])
+		test, terr := strconv.Atoi(f[2])
+		if perr != nil || terr != nil {
+			return nil, fmt.Errorf("loc line %q: want <package> <prod> <test>", sc.Text())
+		}
+		out[f[0]] = LineCount{Prod: prod, Test: test}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if _, ok := out["total"]; !ok {
+		return nil, fmt.Errorf("loc output has no total line")
+	}
+	return out, nil
 }
 
 // accum sums repeated runs of one benchmark for averaging.

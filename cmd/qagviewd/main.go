@@ -6,10 +6,11 @@
 //
 // Tables are live: POST /v1/tables/{id}/rows appends rows and bumps the
 // table's data generation, and stale sessions refresh lazily on their next
-// read through the incremental-maintenance subsystem (internal/delta) —
-// delta-maintained cluster index, warm-started sweeps, generation-stamped
-// stores — instead of rebuilding. Every session response carries the
-// data_version it reflects; DELETE /v1/sessions/{id} evicts explicitly.
+// read: the query re-runs, the cluster space is rebuilt over the new answer
+// set (a no-op when it is unchanged), the sweep warm-starts from the
+// previous generation's, and the new store is stamped with the generation.
+// Every session response carries the data_version it reflects;
+// DELETE /v1/sessions/{id} evicts explicitly.
 //
 // Usage examples:
 //

@@ -2,7 +2,7 @@
 // of golang.org/x/tools/go/analysis, built only on the standard library's
 // go/ast and go/types. It exists because qagview's correctness rests on
 // invariants no generic linter can see — bit-identical determinism,
-// copy-on-write index maintenance, pooled-state hygiene, cancellation
+// immutable published indexes, pooled-state hygiene, cancellation
 // observance, and lock scoping — and those contracts deserve machine
 // checking, not folklore (see docs/ANALYZERS.md for the precise statements).
 //

@@ -1,9 +1,9 @@
-// Package cowcheck machine-checks the copy-on-write contract of qagview's
-// incremental-maintenance subsystem (PR 5): a published lattice.Index is an
-// immutable snapshot — concurrent readers (summarize runs, in-flight
-// precompute sweeps) hold it without synchronization — so every change must
-// flow through the COW entry points (ApplyDelta/Rebase), and shared
-// dictionaries must be cloned before they are extended.
+// Package cowcheck machine-checks that published cluster spaces stay
+// immutable: a lattice.Index is an immutable snapshot — concurrent readers
+// (summarize runs, in-flight precompute sweeps) hold it without
+// synchronization — so a changed answer set gets a new index from
+// BuildIndex, and no code outside the owning packages writes into an index
+// or extends a dictionary it did not create.
 //
 // Rules:
 //
@@ -15,18 +15,12 @@
 //     the index's shared arena: writing one cluster's view corrupts its
 //     neighbors for every reader of the index.
 //
-//  2. Dict mutation without Clone: outside internal/relation, calling the
-//     interning method relation.Dict.ID — which mutates the dictionary — is
-//     flagged unless a Dict.Clone or relation.NewDict call appears earlier in
-//     the same function: cloning (the Clone-then-mutate idiom of
-//     lattice.encodeRowsCOW) and fresh construction (lattice.NewSpace) both
-//     establish ownership of the dictionary being extended. Lookup is the
-//     read-only query and is always fine.
-//
-//  3. Discarded COW result: calling ApplyDelta or Rebase on a lattice.Index
-//     and discarding every result (expression statement, or all-blank
-//     assignment) is flagged: the receiver is never mutated, so the call
-//     had no effect and the caller almost certainly believed otherwise.
+//  2. Dict mutation of a dictionary the function does not own: outside
+//     internal/relation, calling the interning method relation.Dict.ID —
+//     which mutates the dictionary — is flagged unless a relation.NewDict
+//     call appears earlier in the same function: fresh construction (the
+//     lattice.NewSpace idiom) establishes ownership of the dictionary being
+//     extended. Lookup is the read-only query and is always fine.
 package cowcheck
 
 import (
@@ -61,20 +55,9 @@ func run(pass *analysis.Pass) error {
 						checkWrite(pass, covAliases, lhs)
 					}
 				}
-				if allBlank(st.Lhs) {
-					for _, rhs := range st.Rhs {
-						if call, ok := rhs.(*ast.CallExpr); ok {
-							checkDiscardedCOW(pass, call)
-						}
-					}
-				}
 			case *ast.IncDecStmt:
 				if !inLattice {
 					checkWrite(pass, covAliases, st.X)
-				}
-			case *ast.ExprStmt:
-				if call, ok := st.X.(*ast.CallExpr); ok {
-					checkDiscardedCOW(pass, call)
 				}
 			case *ast.CallExpr:
 				if !inRelation {
@@ -93,12 +76,12 @@ func checkWrite(pass *analysis.Pass, covAliases map[types.Object]bool, lhs ast.E
 	case *ast.SelectorExpr:
 		// c.Sum = ..., ix.Clusters = ... — direct field writes.
 		if t := pass.TypeOf(l.X); isLatticeOwned(t) {
-			pass.Reportf(lhs.Pos(), "write to lattice.%s.%s outside internal/lattice: published indexes are immutable copy-on-write snapshots; route the change through ApplyDelta/Rebase", analysis.Deref(t).(*types.Named).Obj().Name(), l.Sel.Name)
+			pass.Reportf(lhs.Pos(), "write to lattice.%s.%s outside internal/lattice: published indexes are immutable copy-on-write snapshots; build a new index with BuildIndex", analysis.Deref(t).(*types.Named).Obj().Name(), l.Sel.Name)
 		}
 	case *ast.IndexExpr:
 		// c.Cov[i] = ..., cov[i] = ... (alias), ix.Clusters[i] = ...
 		if isCovView(pass, covAliases, l.X) {
-			pass.Reportf(lhs.Pos(), "write through a coverage-arena subslice outside internal/lattice: Cluster.Cov views the index's shared arena, so this corrupts other clusters for every reader; build new coverage via ApplyDelta/Rebase")
+			pass.Reportf(lhs.Pos(), "write through a coverage-arena subslice outside internal/lattice: Cluster.Cov views the index's shared arena, so this corrupts other clusters for every reader; build a new index with BuildIndex")
 			return
 		}
 		if sel, ok := l.X.(*ast.SelectorExpr); ok {
@@ -158,8 +141,8 @@ func isLatticeOwned(t types.Type) bool {
 	return analysis.IsNamed(t, "lattice", "Cluster") || analysis.IsNamed(t, "lattice", "Index")
 }
 
-// checkDictMutation flags Dict.ID calls with no earlier ownership-taking call
-// (Dict.Clone or NewDict) in the same function.
+// checkDictMutation flags Dict.ID calls with no earlier NewDict call in the
+// same function.
 func checkDictMutation(pass *analysis.Pass, call *ast.CallExpr, firstOwned token.Pos) {
 	recv, ok := analysis.MethodCall(call, "ID")
 	if !ok || !analysis.IsNamed(pass.TypeOf(recv), "relation", "Dict") {
@@ -168,54 +151,23 @@ func checkDictMutation(pass *analysis.Pass, call *ast.CallExpr, firstOwned token
 	if firstOwned != token.NoPos && firstOwned < call.Pos() {
 		return
 	}
-	pass.Reportf(call.Pos(), "Dict.ID interns (mutates) a dictionary that may be shared with a published index; Clone the dictionary first (Clone-then-mutate, see lattice.encodeRowsCOW), or use the read-only Lookup")
+	pass.Reportf(call.Pos(), "Dict.ID interns (mutates) a dictionary that may be shared with a published index; intern only into a dictionary this function created with NewDict (see lattice.NewSpace), or use the read-only Lookup")
 }
 
-// firstDictOwned returns the position of the first call that takes ownership
-// of a dictionary — Dict.Clone, or NewDict construction — or NoPos.
+// firstDictOwned returns the position of the first NewDict call — the one
+// way a function comes to own a dictionary — or NoPos.
 func firstDictOwned(pass *analysis.Pass, body *ast.BlockStmt) token.Pos {
 	pos := token.NoPos
-	note := func(p token.Pos) {
-		if pos == token.NoPos || p < pos {
-			pos = p
-		}
-	}
 	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if recv, ok := analysis.MethodCall(call, "Clone"); ok && analysis.IsNamed(pass.TypeOf(recv), "relation", "Dict") {
-			note(call.Pos())
-		}
-		if analysis.CalleeName(call) == "NewDict" && analysis.IsNamed(pass.TypeOf(call), "relation", "Dict") {
-			note(call.Pos())
+		// Inspect visits in source order, so the first match is the earliest.
+		if pos == token.NoPos && analysis.CalleeName(call) == "NewDict" && analysis.IsNamed(pass.TypeOf(call), "relation", "Dict") {
+			pos = call.Pos()
 		}
 		return true
 	})
 	return pos
-}
-
-// checkDiscardedCOW flags ApplyDelta/Rebase calls whose results are all
-// discarded.
-func checkDiscardedCOW(pass *analysis.Pass, call *ast.CallExpr) {
-	name := analysis.CalleeName(call)
-	if name != "ApplyDelta" && name != "Rebase" {
-		return
-	}
-	recv, ok := analysis.MethodCall(call, name)
-	if !ok || !analysis.IsNamed(pass.TypeOf(recv), "lattice", "Index") {
-		return
-	}
-	pass.Reportf(call.Pos(), "%s result discarded: the receiver index is never mutated (copy-on-write); use the returned index or delete the call", name)
-}
-
-func allBlank(lhs []ast.Expr) bool {
-	for _, e := range lhs {
-		id, ok := e.(*ast.Ident)
-		if !ok || id.Name != "_" {
-			return false
-		}
-	}
-	return len(lhs) > 0
 }

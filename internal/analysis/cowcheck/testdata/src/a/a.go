@@ -38,12 +38,6 @@ func internShared(d *relation.Dict) int32 {
 	return d.ID("v") // want `Dict.ID interns \(mutates\) a dictionary that may be shared`
 }
 
-// Clone-then-mutate (the encodeRowsCOW idiom) is the sanctioned path.
-func internCloned(d *relation.Dict) int32 {
-	own := d.Clone()
-	return own.ID("v")
-}
-
 // Fresh construction owns the dictionary outright (the NewSpace idiom).
 func internFresh(vals []string) *relation.Dict {
 	d := relation.NewDict()
@@ -56,18 +50,6 @@ func internFresh(vals []string) *relation.Dict {
 // Lookup is the read-only query.
 func lookupOnly(d *relation.Dict) (int32, bool) {
 	return d.Lookup("v")
-}
-
-// Rule 3: COW results must be used.
-func discarded(ix *lattice.Index) {
-	ix.ApplyDelta(1)        // want `ApplyDelta result discarded`
-	ix.Rebase(2)            // want `Rebase result discarded`
-	_, _ = ix.ApplyDelta(3) // want `ApplyDelta result discarded`
-}
-
-func used(ix *lattice.Index) *lattice.Index {
-	nix, _ := ix.ApplyDelta(1)
-	return nix.Rebase(2)
 }
 
 // Suppression: a justified exception is honored.

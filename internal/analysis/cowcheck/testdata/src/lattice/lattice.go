@@ -1,7 +1,7 @@
 // Package lattice is a hermetic fixture stub standing in for
 // qagview/internal/lattice. It doubles as the in-package negative: writes to
-// Cluster/Index state inside the owning package are the maintenance code
-// itself and are not flagged.
+// Cluster/Index state inside the owning package are the build code itself
+// and are not flagged.
 package lattice
 
 import "relation"
@@ -16,10 +16,6 @@ type Index struct {
 	Clusters []Cluster
 	Dicts    []*relation.Dict
 }
-
-func (ix *Index) ApplyDelta(n int) (*Index, int) { return ix, n }
-
-func (ix *Index) Rebase(n int) *Index { return ix }
 
 // maintain is the owning package's own mutation path: exempt from rule 1.
 func maintain(ix *Index) {

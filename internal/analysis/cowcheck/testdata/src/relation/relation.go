@@ -7,9 +7,7 @@ type Dict struct{ m map[string]int32 }
 
 func NewDict() *Dict { return &Dict{m: make(map[string]int32)} }
 
-// ID interns (mutates); Lookup is read-only; Clone takes ownership.
+// ID interns (mutates); Lookup is read-only.
 func (d *Dict) ID(v string) int32 { return 0 }
 
 func (d *Dict) Lookup(v string) (int32, bool) { return 0, false }
-
-func (d *Dict) Clone() *Dict { return &Dict{m: d.m} }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -296,13 +297,13 @@ func Fig8A(e *Env) ([]Table, error) {
 			L = space.N()
 		}
 		t0 := startTimer()
-		_, optStats, err := lattice.BuildIndexStats(space, L, true, e.buildOpts()...)
+		_, optStats, err := lattice.BuildIndexStats(context.Background(), space, L, true, e.buildOpts()...)
 		if err != nil {
 			return nil, err
 		}
 		optMs := t0.ms()
 		t1 := startTimer()
-		_, naiveStats, err := lattice.BuildIndexStats(space, L, false, e.buildOpts()...)
+		_, naiveStats, err := lattice.BuildIndexStats(context.Background(), space, L, false, e.buildOpts()...)
 		if err != nil {
 			return nil, err
 		}

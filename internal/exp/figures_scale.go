@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 
@@ -40,7 +41,7 @@ func FigScale(e *Env) ([]Table, error) {
 			L = space.N()
 		}
 		t0 := startTimer()
-		_, base, err := lattice.BuildIndexStats(space, L, true,
+		_, base, err := lattice.BuildIndexStats(context.Background(), space, L, true,
 			lattice.WithSliceKeys(), lattice.BuildParallelism(1))
 		if err != nil {
 			return nil, err
@@ -51,7 +52,7 @@ func FigScale(e *Env) ([]Table, error) {
 			fms(baseMs), "1.00x", probesPerMs(base))
 		for _, workers := range workerCounts {
 			t1 := startTimer()
-			_, st, err := lattice.BuildIndexStats(space, L, true, lattice.BuildParallelism(workers))
+			_, st, err := lattice.BuildIndexStats(context.Background(), space, L, true, lattice.BuildParallelism(workers))
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -55,14 +56,14 @@ func assertIndexBitIdentical(t *testing.T, label string, a, b *Index) {
 func TestBuildIndexPackedMatchesSlice(t *testing.T) {
 	for seed := int64(0); seed < 3; seed++ {
 		s := randomSpace(t, 40+seed, 150, 5, 4)
-		packed, pstats, err := BuildIndexStats(s, 25, true)
+		packed, pstats, err := BuildIndexStats(context.Background(), s, 25, true)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !pstats.PackedKeys || !packed.PackedKeys() {
 			t.Fatal("packed fast path should engage on a small-domain space")
 		}
-		slice, sstats, err := BuildIndexStats(s, 25, true, WithSliceKeys())
+		slice, sstats, err := BuildIndexStats(context.Background(), s, 25, true, WithSliceKeys())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestBuildIndexAttributeBoundary(t *testing.T) {
 // a single worker.
 func TestBuildStatsPhases(t *testing.T) {
 	s := randomSpace(t, 53, 120, 4, 3)
-	_, st, err := BuildIndexStats(s, 20, true, BuildParallelism(4))
+	_, st, err := BuildIndexStats(context.Background(), s, 20, true, BuildParallelism(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestBuildStatsPhases(t *testing.T) {
 	if st.GenerateMs < 0 || st.MapMs < 0 || st.AssembleMs < 0 {
 		t.Errorf("negative phase timing: %+v", st)
 	}
-	_, st, err = BuildIndexStats(s, 20, true, BuildParallelism(0))
+	_, st, err = BuildIndexStats(context.Background(), s, 20, true, BuildParallelism(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Workers != 1 {
 		t.Errorf("parallelism 0 clamps to 1 worker, got %d", st.Workers)
 	}
-	_, st, err = BuildIndexStats(s, 20, false, BuildParallelism(8))
+	_, st, err = BuildIndexStats(context.Background(), s, 20, false, BuildParallelism(8))
 	if err != nil {
 		t.Fatal(err)
 	}

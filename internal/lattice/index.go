@@ -1,11 +1,13 @@
 package lattice
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
 	"time"
 
+	"qagview/internal/obs"
 	"qagview/internal/pattern"
 )
 
@@ -73,11 +75,6 @@ type Index struct {
 
 	singleton []int32 // rank -> cluster id of the concrete pattern, for ranks < L
 	allStar   int32
-
-	// sliceForced records that WithSliceKeys forced the fallback even though
-	// the packed widths may fit, so incremental rebuilds (Rebase) stay on the
-	// representation the index was built with.
-	sliceForced bool
 }
 
 // BuildStats reports the work done while building an index, for the
@@ -145,7 +142,7 @@ func WithSliceKeys() BuildOption {
 // cluster→tuple mapping is computed by probing each tuple's generalizations
 // against the generated set, instead of scanning all tuples per cluster.
 func BuildIndex(s *Space, L int, opts ...BuildOption) (*Index, error) {
-	ix, _, err := buildIndex(s, L, true, opts)
+	ix, _, err := buildIndex(context.Background(), s, L, true, opts)
 	return ix, err
 }
 
@@ -154,13 +151,16 @@ func BuildIndex(s *Space, L int, opts ...BuildOption) (*Index, error) {
 // It exists to reproduce the Figure 8a ablation; results are identical to
 // BuildIndex.
 func BuildIndexNaive(s *Space, L int, opts ...BuildOption) (*Index, error) {
-	ix, _, err := buildIndex(s, L, false, opts)
+	ix, _, err := buildIndex(context.Background(), s, L, false, opts)
 	return ix, err
 }
 
-// BuildIndexStats is BuildIndex returning work counters.
-func BuildIndexStats(s *Space, L int, optimized bool, opts ...BuildOption) (*Index, BuildStats, error) {
-	return buildIndex(s, L, optimized, opts)
+// BuildIndexStats is BuildIndex (or, with optimized false, BuildIndexNaive)
+// under a caller context, returning work counters. Traced contexts (see
+// internal/obs) record the build as a lattice.build span; the context
+// carries observability only — a build is not cancellable midway.
+func BuildIndexStats(ctx context.Context, s *Space, L int, optimized bool, opts ...BuildOption) (*Index, BuildStats, error) {
+	return buildIndex(ctx, s, L, optimized, opts)
 }
 
 // covHit is one (cluster, tuple) coverage pair recorded during the optimized
@@ -185,22 +185,17 @@ type mapShard struct {
 	ops    int
 }
 
-// generate builds the index skeleton for (s, L): every cluster pattern
-// generalizing a top-L tuple, with ids assigned in first-seen enumeration
-// order (rank-major, subset-mask-minor — the order both key representations
+// generate runs phase 1 for (s, L): every cluster pattern generalizing a
+// top-L tuple, with ids assigned in first-seen enumeration order
+// (rank-major, subset-mask-minor — the order both key representations
 // share, see pattern.Codec.Ancestors), plus the key tables and the
-// singleton/all-star ids. Coverage is left empty; BuildIndex fills it with a
-// full phase-2 mapping pass, Rebase fills it incrementally from a previous
-// index. Keeping generation in one function is what guarantees an
-// incrementally maintained index assigns the same cluster ids as a from-
-// scratch rebuild.
+// singleton/all-star ids. Coverage is left empty for the phase-2 mapping.
 func generate(s *Space, L int, sliceKeys bool) *Index {
 	ix := &Index{
-		Space:       s,
-		L:           L,
-		singleton:   make([]int32, L),
-		allStar:     -1,
-		sliceForced: sliceKeys,
+		Space:     s,
+		L:         L,
+		singleton: make([]int32, L),
+		allStar:   -1,
 	}
 	if !sliceKeys {
 		cards := make([]int, s.M())
@@ -277,7 +272,9 @@ func generate(s *Space, L int, sliceKeys bool) *Index {
 	return ix
 }
 
-func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, BuildStats, error) {
+func buildIndex(ctx context.Context, s *Space, L int, optimized bool, opts []BuildOption) (*Index, BuildStats, error) {
+	_, sp := obs.StartSpan(ctx, "lattice.build")
+	defer sp.End()
 	cfg := defaultBuildConfig()
 	for _, o := range opts {
 		o(&cfg)
@@ -399,6 +396,8 @@ func buildIndex(s *Space, L int, optimized bool, opts []BuildOption) (*Index, Bu
 		stats.MapMs = msSince(t1)
 	}
 	assertIndexInvariants(ix, "build")
+	sp.SetInt("clusters", int64(nc))
+	sp.SetInt("workers", int64(stats.Workers))
 	return ix, stats, nil
 }
 
@@ -580,19 +579,14 @@ func (m *LCAMemo) LCAID(a, b int32) (int32, error) {
 	return id, nil
 }
 
-// Rebind attaches the memo to a successor index of the same space shape
-// (equal attribute count). keep retains the memoized pairs, which is sound
-// exactly when the successor preserved every cluster id — the fast path of
-// incremental maintenance (Index.ApplyDelta): entries are id-pair → id facts
-// about cluster patterns, and id stability carries them over unchanged. With
-// keep false the memo is flushed (the table is re-allocated at its hint
-// size; the scratch buffers are kept).
-func (m *LCAMemo) Rebind(ix *Index, keep bool) {
+// Rebind attaches the memo to a successor index and flushes it: entries are
+// id-pair → id facts about one index's cluster ids, which a rebuilt index
+// does not preserve. The table is re-allocated at its hint size; the scratch
+// buffers are kept.
+func (m *LCAMemo) Rebind(ix *Index) {
 	m.ix = ix
-	if !keep {
-		m.memo = newPackedMap(256)
-		m.hits, m.misses = 0, 0
-	}
+	m.memo = newPackedMap(256)
+	m.hits, m.misses = 0, 0
 	if len(m.scratch) != ix.Space.M() {
 		m.scratch = make(pattern.Pattern, ix.Space.M())
 	}

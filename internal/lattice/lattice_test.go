@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -218,11 +219,11 @@ func TestNaiveBuildMatchesOptimized(t *testing.T) {
 
 func TestBuildStatsShowOptimizationAdvantage(t *testing.T) {
 	s := randomSpace(t, 14, 200, 4, 3)
-	_, optStats, err := BuildIndexStats(s, 20, true)
+	_, optStats, err := BuildIndexStats(context.Background(), s, 20, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, naiveStats, err := BuildIndexStats(s, 20, false)
+	_, naiveStats, err := BuildIndexStats(context.Background(), s, 20, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,12 +4,12 @@ package lattice
 
 import "fmt"
 
-// Built with -tags qagcheck, every index handed out by a build or an
-// incremental update is verified against the structural invariants the rest
-// of the system assumes (and qagvet checks callers against statically):
-// coverage lists strictly ascending, and the packed codec wide enough for
-// every dictionary's active domain. Violations panic: a broken index is a
-// determinism bug in the maintenance code, not a recoverable condition.
+// Built with -tags qagcheck, every index handed out by a build is verified
+// against the structural invariants the rest of the system assumes (and
+// qagvet checks callers against statically): coverage lists strictly
+// ascending, and the packed codec wide enough for every dictionary's active
+// domain. Violations panic: a broken index is a determinism bug in the build
+// code, not a recoverable condition.
 func assertIndexInvariants(ix *Index, origin string) {
 	if ix == nil {
 		return

@@ -83,15 +83,14 @@ func (c *Codec) M() int { return c.m }
 
 // Field returns the all-ones mask over attribute j's bit field — the packed
 // Star sentinel for that attribute. Or-ing it into a packed key stars the
-// attribute, which is how incremental maintenance jumps from a cluster to
-// its lattice parent in O(1).
+// attribute (a cluster's lattice parent in O(1)); the vectorized executor
+// reads the field widths from it.
 func (c *Codec) Field(j int) uint64 { return c.field[j] }
 
 // CardFits reports whether attribute j's field can hold an active domain of
 // the given cardinality: every id 0..card-1 must stay strictly below the
-// all-ones Star sentinel. Incremental maintenance uses it to detect when
-// newly interned dictionary values overflow the packed widths, forcing a
-// codec re-derivation (or the slice-key fallback).
+// all-ones Star sentinel. The qagcheck assertions use it to verify that a
+// built index's codec holds every dictionary's active domain.
 func (c *Codec) CardFits(j, card int) bool {
 	return uint64(card) <= c.field[j]>>c.shift[j]
 }

@@ -115,8 +115,8 @@ func Run(ix *lattice.Index, L, kMin, kMax int, ds []int, opts ...Option) (*Store
 
 // RunSweeper is Run over a caller-owned sweeper — typically one warm-started
 // from a previous data generation (summarize.Sweeper.Warm), so a live-table
-// refresh reuses the previous sweep's replay states and LCA memos instead of
-// allocating from scratch. kMax may not exceed the sweeper's provisioned
+// refresh reuses the previous sweep's replay states instead of allocating
+// them from scratch. kMax may not exceed the sweeper's provisioned
 // KMax (the shared Fixed-Order pool was sized for it). Summarize options
 // belong to the sweeper and are rejected here.
 func RunSweeper(sw *summarize.Sweeper, kMin, kMax int, ds []int, opts ...Option) (*Store, error) {

@@ -296,24 +296,20 @@ func TestDecodeRejectsMalformedGrid(t *testing.T) {
 		}
 		return out.Bytes()
 	}
-	withEntry := func(d int, edit func(*snapshotEntry)) func(*snapshot) {
-		return func(snap *snapshot) {
-			e := snap.PerD[d]
-			edit(&e)
-			snap.PerD[d] = e
-		}
+	withEntry := func(i int, edit func(*snapshotEntry)) func(*snapshot) {
+		return func(snap *snapshot) { edit(&snap.PerD[i]) }
 	}
 	cases := map[string]func(*snapshot){
-		"avg truncated":    withEntry(1, func(e *snapshotEntry) { e.Avg = e.Avg[:1] }),
-		"avg too long":     withEntry(2, func(e *snapshotEntry) { e.Avg = append(e.Avg, 1) }),
+		"avg truncated":    withEntry(0, func(e *snapshotEntry) { e.Avg = e.Avg[:1] }),
+		"avg too long":     withEntry(1, func(e *snapshotEntry) { e.Avg = append(e.Avg, 1) }),
 		"kmin above kmax":  func(snap *snapshot) { snap.KMin, snap.KMax = snap.KMax, snap.KMin },
 		"kmin zero":        func(snap *snapshot) { snap.KMin = 0 },
 		"d without entry":  func(snap *snapshot) { snap.Ds = append(snap.Ds, 4) },
 		"entry without d":  func(snap *snapshot) { snap.Ds = snap.Ds[:2] },
-		"entry swapped":    func(snap *snapshot) { snap.PerD[4] = snap.PerD[3]; delete(snap.PerD, 3) },
+		"entry missing":    func(snap *snapshot) { snap.PerD = snap.PerD[:2] },
 		"duplicate d":      func(snap *snapshot) { snap.Ds = []int{1, 1, 2} },
-		"min size zero":    withEntry(3, func(e *snapshotEntry) { e.MinSize = 0 }),
-		"min size too big": withEntry(3, func(e *snapshotEntry) { e.MinSize = 13 }),
+		"min size zero":    withEntry(2, func(e *snapshotEntry) { e.MinSize = 0 }),
+		"min size too big": withEntry(2, func(e *snapshotEntry) { e.MinSize = 13 }),
 	}
 	for name, edit := range cases {
 		if _, err := Decode(bytes.NewReader(doctor(edit)), ix); err == nil {

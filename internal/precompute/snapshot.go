@@ -17,8 +17,8 @@ import (
 type snapshot struct {
 	L, KMin, KMax int
 	Ds            []int
-	PerD          map[int]snapshotEntry
-	NumClusters   int // sanity check against the index at decode time
+	PerD          []snapshotEntry // aligned with Ds
+	NumClusters   int             // sanity check against the index at decode time
 	// Generation is the data generation the store was computed over (see
 	// WithGeneration); snapshots written before versioning decode as 0.
 	Generation uint64
@@ -30,17 +30,19 @@ type snapshotEntry struct {
 	MinSize   int
 }
 
-// Encode serializes the store with encoding/gob.
+// Encode serializes the store with encoding/gob. Per-D entries are written
+// in Ds order, so equal stores encode to equal bytes.
 func (s *Store) Encode(w io.Writer) error {
 	snap := snapshot{
 		L: s.L, KMin: s.KMin, KMax: s.KMax,
 		Ds:          append([]int(nil), s.Ds...),
-		PerD:        make(map[int]snapshotEntry, len(s.perD)),
+		PerD:        make([]snapshotEntry, len(s.Ds)),
 		NumClusters: s.ix.NumClusters(),
 		Generation:  s.gen,
 	}
-	for d, e := range s.perD {
-		snap.PerD[d] = snapshotEntry{
+	for i, d := range s.Ds {
+		e := s.perD[d]
+		snap.PerD[i] = snapshotEntry{
 			Intervals: e.ivs,
 			Avg:       append([]float64(nil), e.avg...),
 			MinSize:   e.minSize,
@@ -76,7 +78,7 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 		perD: make(map[int]*dEntry, len(snap.PerD)),
 		gen:  snap.Generation,
 	}
-	for d, e := range snap.PerD {
+	for i, e := range snap.PerD {
 		for _, iv := range e.Intervals {
 			if iv.Payload < 0 || int(iv.Payload) >= ix.NumClusters() {
 				return nil, fmt.Errorf("precompute: snapshot references cluster %d outside the index", iv.Payload)
@@ -86,7 +88,7 @@ func Decode(r io.Reader, ix *lattice.Index) (*Store, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.perD[d] = &dEntry{tree: tree, ivs: e.Intervals, avg: e.Avg, minSize: e.MinSize}
+		st.perD[snap.Ds[i]] = &dEntry{tree: tree, ivs: e.Intervals, avg: e.Avg, minSize: e.MinSize}
 	}
 	return st, nil
 }
@@ -101,11 +103,8 @@ func (snap *snapshot) validate() error {
 	if len(snap.PerD) != len(snap.Ds) {
 		return fmt.Errorf("precompute: snapshot has entries for %d D values but lists %v", len(snap.PerD), snap.Ds)
 	}
-	for _, d := range snap.Ds {
-		e, ok := snap.PerD[d]
-		if !ok {
-			return fmt.Errorf("precompute: snapshot lists D = %d but has no entry for it", d)
-		}
+	for i, d := range snap.Ds {
+		e := snap.PerD[i]
 		if want := snap.KMax - snap.KMin + 1; len(e.Avg) != want {
 			return fmt.Errorf("precompute: snapshot D = %d has %d objective values, want %d", d, len(e.Avg), want)
 		}

@@ -123,11 +123,14 @@ func TestEncodeDecodeConcurrentReaders(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	// Concurrent encodes may differ byte-wise (gob map order) but must both
-	// decode to stores serving the original solutions.
+	// Concurrent encodes must agree byte for byte and decode to stores
+	// serving the original solutions.
 	for e, raw := range encoded {
 		if len(raw) == 0 {
 			continue // errored above
+		}
+		if !bytes.Equal(raw, buf.Bytes()) {
+			t.Fatalf("concurrent encode %d differs from the sequential encode", e)
 		}
 		st, err := Decode(bytes.NewReader(raw), ix)
 		if err != nil {

@@ -41,22 +41,6 @@ func (d *Dict) Value(id int32) string { return d.vals[id] }
 // size of the attribute).
 func (d *Dict) Len() int { return len(d.vals) }
 
-// Clone returns an independent copy of the dictionary with identical id
-// assignments. Incremental maintenance extends dictionaries copy-on-write:
-// existing ids never change, new values take the next free ids in the clone,
-// and readers of the original dictionary (a published, immutable index) are
-// never exposed to a concurrent mutation.
-func (d *Dict) Clone() *Dict {
-	c := &Dict{
-		ids:  make(map[string]int32, len(d.ids)),
-		vals: append([]string(nil), d.vals...),
-	}
-	for s, id := range d.ids {
-		c.ids[s] = id
-	}
-	return c
-}
-
 // Values returns the interned values in id order. The returned slice is
 // shared; callers must not modify it.
 func (d *Dict) Values() []string { return d.vals }

@@ -181,7 +181,7 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // response request id, and — when tracing is enabled, ?trace=1 is set, or a
 // slow-query threshold is armed — a request-scoped trace rooted at the route
 // label. The trace context flows through r.Context() into the engine,
-// precompute, delta, and WAL layers; Finish records it in the tracer's ring
+// lattice, precompute, and WAL layers; Finish records it in the tracer's ring
 // (and the slow ring + log past the threshold).
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {

@@ -1,13 +1,17 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"qagview/internal/movielens"
 	"qagview/internal/obs"
 )
 
@@ -378,4 +382,106 @@ func TestMetricsScrapeObserveRace(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestRefreshSpansCoverSessionRefresh pins the refresh's span tree: a traced
+// stale read on a fresh session traces as session.refresh → the re-run
+// query's engine.execute and live.refresh → lattice.build + sweeper.warm,
+// and leaves at most 10% of session.refresh outside its child spans.
+func TestRefreshSpansCoverSessionRefresh(t *testing.T) {
+	rel, err := movielens.Generate(movielens.Config{Users: 943, Movies: 1682, Ratings: 40_000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{})
+	if _, err := srv.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Register(rel); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	sql, err := movielens.Query(6, 10, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	created := post(t, ts, "/v1/sessions", map[string]any{"sql": sql, "l": 300, "kmin": 1, "kmax": 12, "ds": []int{1, 2, 3}})
+	if created.code != http.StatusCreated {
+		t.Fatalf("creating session: %d %s", created.code, created.raw)
+	}
+	id := created.body["session"].(string)
+	waitReady(t, ts, id)
+
+	// Twenty five-star ratings cloned from existing rows shift the averages.
+	rating := rel.ColumnIndex("rating")
+	rows := make([][]string, 20)
+	for i := range rows {
+		src := i * 997
+		rows[i] = make([]string, rel.NumCols())
+		for c := range rows[i] {
+			rows[i][c] = rel.StringAt(c, src)
+		}
+		rows[i][rating] = "5"
+	}
+	if resp := appendRows(t, ts, rel.Name(), rows); resp.code != http.StatusOK {
+		t.Fatalf("append: %d %s", resp.code, resp.raw)
+	}
+	sol := get(t, ts, "/v1/sessions/"+id+"/solution?k=5&d=2&trace=1")
+	if sol.code != http.StatusOK || sol.body["data_version"].(float64) != 2 {
+		t.Fatalf("stale read: %d %s", sol.code, sol.raw)
+	}
+	raw, err := json.Marshal(sol.body["trace"].(map[string]any)["root"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root obs.SpanSnapshot
+	if err := json.Unmarshal(raw, &root); err != nil {
+		t.Fatal(err)
+	}
+	refresh, ok := findSpan(root, "session.refresh")
+	if !ok {
+		t.Fatalf("no session.refresh span in %s", raw)
+	}
+	for _, name := range []string{"engine.execute", "live.refresh", "lattice.build", "sweeper.warm"} {
+		if _, ok := findSpan(refresh, name); !ok {
+			t.Fatalf("span %q missing under session.refresh: %+v", name, refresh)
+		}
+	}
+	self := selfUS(refresh)
+	t.Logf("session.refresh %d µs, %d µs outside its child spans", refresh.DurUS, self)
+	if self*10 > refresh.DurUS {
+		t.Fatalf("%d of %d µs of session.refresh are outside its child spans:\n%+v", self, refresh.DurUS, refresh)
+	}
+}
+
+// findSpan walks a span tree for a span name.
+func findSpan(s obs.SpanSnapshot, name string) (obs.SpanSnapshot, bool) {
+	if s.Name == name {
+		return s, true
+	}
+	for _, c := range s.Children {
+		if got, ok := findSpan(c, name); ok {
+			return got, true
+		}
+	}
+	return obs.SpanSnapshot{}, false
+}
+
+// selfUS is a span's duration minus the union of its children's intervals.
+func selfUS(s obs.SpanSnapshot) int64 {
+	kids := append([]obs.SpanSnapshot(nil), s.Children...)
+	sort.Slice(kids, func(a, b int) bool { return kids[a].StartUS < kids[b].StartUS })
+	covered, end := int64(0), s.StartUS
+	for _, k := range kids {
+		lo, hi := max(k.StartUS, end), min(k.StartUS+k.DurUS, s.StartUS+s.DurUS)
+		if hi > lo {
+			covered += hi - lo
+			end = hi
+		}
+	}
+	return s.DurUS - covered
 }

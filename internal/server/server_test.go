@@ -365,7 +365,7 @@ func TestHandlerErrorPaths(t *testing.T) {
 type snapshot struct {
 	L, KMin, KMax int
 	Ds            []int
-	PerD          map[int]snapshotEntry
+	PerD          []snapshotEntry // aligned with Ds
 	NumClusters   int
 }
 
@@ -413,11 +413,11 @@ func TestSolutionBelowSmallestSweep(t *testing.T) {
 
 	snap := snapshot{
 		L: 8, KMin: 1, KMax: 6, Ds: []int{0, 1, 2},
-		PerD:        make(map[int]snapshotEntry),
+		PerD:        make([]snapshotEntry, 3),
 		NumClusters: numClusters,
 	}
-	for _, d := range snap.Ds {
-		snap.PerD[d] = snapshotEntry{
+	for i := range snap.PerD {
+		snap.PerD[i] = snapshotEntry{
 			Intervals: []intervaltree.Interval{{Lo: 3, Hi: 6, Payload: 0}},
 			Avg:       make([]float64, 6),
 			MinSize:   3,

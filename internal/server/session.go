@@ -28,7 +28,7 @@ import (
 // chain of per-generation views. The spine fields are immutable; the current
 // view is published through an atomic pointer, so reads never lock, and
 // refreshes (live tables changed under the session) swap in a successor view
-// built by the incremental-maintenance subsystem.
+// whose cluster space Live.Refresh rebuilt over the re-run query.
 type session struct {
 	ID         string
 	SQL        string
@@ -38,7 +38,7 @@ type session struct {
 	KMin, KMax int
 	Ds         []int
 
-	// live owns the delta-maintained index and warm sweeper chain. It is
+	// live owns the current index and the warm sweeper chain. It is
 	// single-writer: only the refresh critical section (refreshMu, entered
 	// through the manager's singleflight) and the one in-flight store build
 	// between a view's creation and its ready-close may touch it.
@@ -183,7 +183,7 @@ type sessionManager struct {
 
 	// wg tracks background store-build goroutines so close can wait for
 	// them after cancelling: graceful shutdown must not exit while a sweep
-	// still touches a Live maintainer.
+	// still touches a session's Live.
 	wg sync.WaitGroup
 
 	// removing marks an explicit DELETE in progress (under mu), so the
@@ -282,7 +282,7 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 	if l > res.N() {
 		return nil, fmt.Errorf("l = %d exceeds the %d result groups", l, res.N())
 	}
-	sum, err := qagview.NewSummarizer(res, l)
+	sum, err := qagview.NewSummarizerCtx(ctx, res, l)
 	if err != nil {
 		return nil, err
 	}
@@ -326,9 +326,9 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 
 // freshen returns the session's current view, first reconciling it with the
 // table's data generation: the first read of a stale session re-runs the
-// query, applies the answer-set delta through the incremental maintenance
-// subsystem, supersedes any in-flight sweep (cancel + wait), and kicks off
-// the successor store build. Concurrent stale reads share one refresh
+// query, supersedes any in-flight sweep (cancel + wait), rebuilds the
+// cluster space through Live.Refresh, and kicks off the successor store
+// build. Concurrent stale reads share one refresh
 // through the singleflight group.
 func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sessionView, error) {
 	cur := s.currentView()
@@ -372,7 +372,7 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 			return nv, nil
 		}
 		// Supersede the current generation's sweep: cancel it and wait for
-		// the build goroutine to let go of the maintainer (Live is
+		// the build goroutine to let go of the Live (it is
 		// single-writer; ready closes when the build returns).
 		cur.build.cancel()
 		//qag:allow lockscope deliberate: refreshMu serializes refreshes per session, and the superseded build was just cancelled, so ready closes promptly; waiting here is what guarantees Live's single-writer contract

@@ -1,31 +1,27 @@
 package summarize
 
-// Warm start across data generations: when incremental maintenance
-// (lattice.ApplyDelta) produces a successor index, the next sweeper does not
-// start from scratch. The shared Fixed-Order phase must re-run — appended
-// and deleted tuples change coverage sums, so the greedy choices may change,
-// and correctness demands re-deriving them — but every allocation-heavy
-// piece of replay state carries over: the base workset's dense membership
-// and Delta-Judgment arrays, the coverage bitmaps, every pooled replay state
-// (worksets + pair buffers), and, when the delta preserved cluster ids, the
-// LCA memos, whose id-keyed entries remain valid facts about the new index.
-// The result is bit-identical to a cold NewSweeper over the same index (see
-// warm_test.go); only the allocation profile differs.
+// Warm start across data generations: when a live-table refresh rebuilds the
+// index over a changed answer set, the next sweeper does not start from
+// scratch. The shared Fixed-Order phase must re-run — the changed answers
+// change coverage sums, so the greedy choices may change, and correctness
+// demands re-deriving them — but every allocation-heavy piece of replay
+// state carries over: the base workset's dense membership and
+// Delta-Judgment arrays, the coverage bitmaps, and every pooled replay state
+// (worksets + pair buffers). LCA memos are flushed: their entries are facts
+// about the old index's cluster ids. The result is bit-identical to a cold
+// NewSweeper over the same index (see warm_test.go); only the allocation
+// profile differs.
 
 // Warm returns a sweeper over the successor index ix, reusing this sweeper's
-// state as described above. idsPreserved must be true only when every
-// cluster id of the receiver's index names the same pattern in ix — the
-// DeltaStats.FastPath guarantee of lattice.ApplyDelta — and controls whether
-// LCA memos survive or are flushed. The receiver must not be used after
-// Warm returns: its base workset and pooled states now belong to the new
-// sweeper.
-func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
+// state as described above. The receiver must not be used after Warm
+// returns: its base workset and pooled states now belong to the new sweeper.
+func (sw *Sweeper) Warm(ix *Index) (*Sweeper, error) {
 	p := Params{K: sw.kMax * sw.cfg.hybridC, L: sw.l, D: 0}
 	if err := p.Validate(ix); err != nil {
 		return nil, err
 	}
 	ws := sw.base
-	ws.adoptIndex(ix, idsPreserved)
+	ws.adoptIndex(ix)
 	if err := fixedOrderPhase(ws, p, nil); err != nil {
 		return nil, err
 	}
@@ -39,7 +35,7 @@ func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
 			break
 		}
 		st := v.(*replayState)
-		st.ws.adoptIndex(ix, idsPreserved)
+		st.ws.adoptIndex(ix)
 		nw.pool.Put(st)
 	}
 	return nw, nil
@@ -49,9 +45,8 @@ func (sw *Sweeper) Warm(ix *Index, idsPreserved bool) (*Sweeper, error) {
 // id-indexed and tuple-indexed arrays to the new shapes and resetting the
 // solution state to empty (the state a fresh newWorkset presents). The
 // Delta-Judgment cache and membership stamps are invalidated by the
-// generation bump; keepMemo forwards the id-stability guarantee to the LCA
-// memo (see lattice.LCAMemo.Rebind).
-func (ws *workset) adoptIndex(ix *Index, keepMemo bool) {
+// generation bump, and the LCA memo is flushed (see lattice.LCAMemo.Rebind).
+func (ws *workset) adoptIndex(ix *Index) {
 	ws.ix = ix
 	nc := ix.NumClusters()
 	if len(ws.inSol) < nc {
@@ -69,7 +64,7 @@ func (ws *workset) adoptIndex(ix *Index, keepMemo bool) {
 	ws.covered = resizeBitset(ws.covered, words)
 	ws.ldBits = resizeBitset(ws.ldBits, words)
 	ws.lastDelta = ws.lastDelta[:0]
-	ws.lca.Rebind(ix, keepMemo)
+	ws.lca.Rebind(ix)
 	ws.gen++
 	if ws.gen == 0 { // stamp wrap-around: clear and restart, as in resetFrom
 		for i := range ws.inSol {

@@ -34,43 +34,48 @@ func assertTracesEqual(t *testing.T, label string, got, want *SweepStates) {
 	}
 }
 
-// applyRandomDelta mutates the space behind ix through ApplyDelta: appends
-// drawn from the active domains (optionally one new leader that churns the
-// top L) plus a couple of deletes outside it.
-func applyRandomDelta(t *testing.T, ix *lattice.Index, seed int64, leader bool) (*lattice.Index, lattice.DeltaStats) {
+// rebuildEdited returns the index BuildIndex makes over the answer set behind
+// ix after an edit: the two lowest-ranked rows dropped and six rows appended,
+// drawn from the active domains (one of them a new leader that reorders the
+// top L when leader is set) with values below the top L otherwise.
+func rebuildEdited(t *testing.T, ix *lattice.Index, seed int64, leader bool) *lattice.Index {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	s := ix.Space
-	var d lattice.Delta
+	rows := make([][]string, 0, s.N()+4)
+	vals := make([]float64, 0, s.N()+4)
+	for i := 0; i < s.N()-2; i++ {
+		rows = append(rows, s.Render(s.Tuples[i]))
+		vals = append(vals, s.Vals[i])
+	}
 	for i := 0; i < 6; i++ {
 		row := make([]string, s.M())
 		for j := range row {
-			vals := s.Dicts[j].Values()
-			row[j] = vals[rng.Intn(len(vals))]
+			dom := s.Dicts[j].Values()
+			row[j] = dom[rng.Intn(len(dom))]
 		}
-		d.AppendRows = append(d.AppendRows, row)
+		rows = append(rows, row)
 		if leader && i == 0 {
-			d.AppendVals = append(d.AppendVals, s.Vals[0]+1)
+			vals = append(vals, s.Vals[0]+1)
 		} else {
-			d.AppendVals = append(d.AppendVals, s.Vals[ix.L-1]-1-rng.Float64())
+			vals = append(vals, s.Vals[ix.L-1]-1-rng.Float64())
 		}
 	}
-	d.DeleteRanks = []int{s.N() - 1, s.N() - 3}
-	nix, stats, err := ix.ApplyDelta(d)
+	ns, err := lattice.NewSpace(s.Attrs, rows, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FastPath == leader {
-		t.Fatalf("fixture: leader=%v but FastPath=%v", leader, stats.FastPath)
+	nix, err := lattice.BuildIndex(ns, ix.L)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return nix, stats
+	return nix
 }
 
 // TestWarmSweeperMatchesCold pins the warm-start contract: a sweeper warmed
-// onto a delta-maintained index — reusing the previous generation's replay
-// states and (on the fast path) LCA memos — replays every (k, D) trace
-// bit-identically to a cold sweeper built from scratch, across a chain of
-// fast-path and slow-path deltas.
+// onto a rebuilt index — reusing the previous generation's replay states —
+// replays every (k, D) trace bit-identically to a cold sweeper built from
+// scratch, across a chain of edits with and without top-L churn.
 func TestWarmSweeperMatchesCold(t *testing.T) {
 	ix := randomIndex(t, 555, 120, 4, 4, 30)
 	const L, kMax = 30, 12
@@ -85,8 +90,8 @@ func TestWarmSweeperMatchesCold(t *testing.T) {
 		}
 	}
 	for step, leader := range []bool{false, true, false} {
-		nix, stats := applyRandomDelta(t, ix, 600+int64(step), leader)
-		warm, err := sw.Warm(nix, stats.FastPath)
+		nix := rebuildEdited(t, ix, 600+int64(step), leader)
+		warm, err := sw.Warm(nix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,13 +116,6 @@ func TestWarmSweeperMatchesCold(t *testing.T) {
 		if reuses := warm.Stats().PooledReuses; reuses == 0 {
 			t.Fatalf("step %d: warm sweeper never reused a migrated replay state", step)
 		}
-		if stats.FastPath {
-			// Fast-path warm starts keep LCA memos: the very first replays
-			// must already answer some LCA lookups from cache.
-			if hits := warm.Stats().LCAMemoHits; hits == 0 {
-				t.Fatalf("step %d: fast-path warm start kept no LCA memo entries", step)
-			}
-		}
 		ix, sw = nix, warm
 	}
 }
@@ -131,7 +129,7 @@ func TestWarmSweeperRejectsBadIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	small := randomIndex(t, 557, 60, 3, 5, 10) // L = 10 < 20
-	if _, err := sw.Warm(small, false); err == nil {
+	if _, err := sw.Warm(small); err == nil {
 		t.Fatal("want an error warming onto an index with smaller L")
 	}
 }

@@ -26,12 +26,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
-	"qagview/internal/delta"
 	"qagview/internal/engine"
 	"qagview/internal/lattice"
+	"qagview/internal/obs"
 	"qagview/internal/precompute"
 	"qagview/internal/relation"
 	"qagview/internal/sankey"
@@ -54,6 +55,9 @@ type (
 	// BuildOption customizes the cluster-space build of NewSummarizer
 	// (phase-2 worker count).
 	BuildOption = lattice.BuildOption
+	// BuildStats reports the work and per-phase time of a cluster-space
+	// build (see Live.Refresh).
+	BuildStats = lattice.BuildStats
 	// Stats reports evaluation-work counters.
 	Stats = summarize.Stats
 	// ReplayStats reports precompute replay-pooling and LCA-memo counters
@@ -79,12 +83,6 @@ type (
 	Relation = relation.Relation
 	// Column is one typed column of a Relation.
 	Column = relation.Column
-	// DeltaBatch is a batch of answer-space edits for incremental
-	// maintenance: rendered rows to append and ranks to delete.
-	DeltaBatch = lattice.Delta
-	// DeltaStats reports what an incremental maintenance pass did (fast
-	// path, cluster churn, codec re-packing).
-	DeltaStats = lattice.DeltaStats
 )
 
 // Algorithm names, re-exported.
@@ -222,21 +220,32 @@ type Summarizer struct {
 // [1, N]. Options tune the build (see BuildParallelism); the space itself is
 // the same at any setting.
 func NewSummarizer(res *Result, L int, opts ...BuildOption) (*Summarizer, error) {
+	return NewSummarizerCtx(context.Background(), res, L, opts...)
+}
+
+// NewSummarizerCtx is NewSummarizer under a caller context: traced requests
+// (see internal/obs) record the build as a lattice.build span. The context
+// carries observability only — a build is not cancellable midway.
+func NewSummarizerCtx(ctx context.Context, res *Result, L int, opts ...BuildOption) (*Summarizer, error) {
 	if res == nil {
 		return nil, fmt.Errorf("qagview: nil result")
 	}
-	return NewSummarizerFromRows(res.GroupBy, res.Rows, res.Vals, L, opts...)
+	return newSummarizer(ctx, res.GroupBy, res.Rows, res.Vals, L, opts)
 }
 
 // NewSummarizerFromRows builds a Summarizer directly from rendered rows and
 // values (for callers whose scores do not come from a SQL query, e.g. a
 // domain expert, as Section 3 notes).
 func NewSummarizerFromRows(attrs []string, rows [][]string, vals []float64, L int, opts ...BuildOption) (*Summarizer, error) {
+	return newSummarizer(context.Background(), attrs, rows, vals, L, opts)
+}
+
+func newSummarizer(ctx context.Context, attrs []string, rows [][]string, vals []float64, L int, opts []BuildOption) (*Summarizer, error) {
 	space, err := lattice.NewSpace(attrs, rows, vals)
 	if err != nil {
 		return nil, err
 	}
-	ix, err := lattice.BuildIndex(space, L, opts...)
+	ix, _, err := lattice.BuildIndexStats(ctx, space, L, true, opts...)
 	if err != nil {
 		return nil, err
 	}
@@ -310,27 +319,30 @@ func (s *Summarizer) DecodeStore(r io.Reader) (*Store, error) {
 	return precompute.Decode(r, s.ix)
 }
 
-// Live couples a Summarizer with the incremental-maintenance subsystem
-// (internal/delta): it absorbs changes to the underlying answer set without
-// rebuilding the cluster space, warm-starts summarization sweepers across
-// data generations, and stamps precomputed stores with a monotonically
-// increasing data version.
+// Live keeps a Summarizer current as the underlying answer set changes: a
+// refresh rebuilds the cluster space over the re-run query result, the
+// summarization sweeper is warm-started across data generations (its replay
+// states carry over, see summarize.Sweeper.Warm), and precomputed stores
+// are stamped with a monotonically increasing data version.
 //
-// A Live is single-writer: Refresh and ApplyDelta must be serialized by the
-// caller, and an in-flight Precompute must have returned (cancel its context
-// and wait) before the next refresh, which migrates the sweeper state the
-// sweep is using. The Summarizer snapshots it publishes are immutable and
-// freely shared: readers keep using an old generation's summarizer while the
-// next one is prepared.
+// A Live is single-writer: Refresh must be serialized by the caller, and an
+// in-flight Precompute must have returned (cancel its context and wait)
+// before the next refresh, which migrates the sweeper state the sweep is
+// using. The Summarizer snapshots it publishes are immutable and freely
+// shared: readers keep using an old generation's summarizer while the next
+// one is prepared.
 type Live struct {
-	m   *delta.Maintainer
-	sum *Summarizer
+	gen     uint64
+	sum     *Summarizer
+	sw      *summarize.Sweeper // nil until the first Precompute
+	sumOpts []Option
 }
 
 // NewLive wraps a freshly built Summarizer at data version 1. Options are
-// summarize options applied to every sweeper the maintainer constructs.
+// summarize options applied to every sweeper the Live constructs (the warm
+// chain carries them forward).
 func NewLive(s *Summarizer, opts ...Option) *Live {
-	return &Live{m: delta.New(s.ix, opts...), sum: s}
+	return &Live{gen: 1, sum: s, sumOpts: opts}
 }
 
 // Summarizer returns the current-generation summarizer (an immutable
@@ -338,53 +350,93 @@ func NewLive(s *Summarizer, opts ...Option) *Live {
 func (l *Live) Summarizer() *Summarizer { return l.sum }
 
 // DataVersion returns the current data generation: 1 at construction,
-// bumped by every refresh or delta that changed anything.
-func (l *Live) DataVersion() uint64 { return l.m.Generation() }
+// bumped by every refresh that changed the answer set.
+func (l *Live) DataVersion() uint64 { return l.gen }
 
-// Refresh reconciles the live state with a re-run query result: the result
-// is diffed against the current answer set, and any change — appends,
-// deletes, changed values, reordered ranks — is applied through the
-// incremental index maintenance, bit-identical to a from-scratch rebuild.
-// changed reports whether anything was applied (the data version bumps
-// exactly when it did).
-func (l *Live) Refresh(res *Result) (DeltaStats, bool, error) {
+// Refresh reconciles the live state with a re-run query result. When the
+// ranked answer set differs from the current one in any way — appends,
+// deletes, changed values, reordered ranks — the cluster space is rebuilt
+// over it at the same L (exactly what NewSummarizer would build), the
+// sweeper is warmed onto the new index, and the data version bumps; stats
+// reports that build. changed is false, and nothing is rebuilt, when the
+// ranked answer set is identical.
+func (l *Live) Refresh(res *Result) (BuildStats, bool, error) {
 	return l.RefreshCtx(context.Background(), res)
 }
 
 // RefreshCtx is Refresh under a caller context: traced requests (see
-// internal/obs) record the diff and rebase stages as spans. The context
-// carries observability only — a refresh is not cancellable midway.
-func (l *Live) RefreshCtx(ctx context.Context, res *Result) (DeltaStats, bool, error) {
+// internal/obs) record a live.refresh span with the lattice.build and
+// sweeper.warm stages under it. The context carries observability only — a
+// refresh is not cancellable midway.
+func (l *Live) RefreshCtx(ctx context.Context, res *Result) (BuildStats, bool, error) {
 	if res == nil {
-		return DeltaStats{}, false, fmt.Errorf("qagview: nil result")
+		return BuildStats{}, false, fmt.Errorf("qagview: nil result")
 	}
-	stats, changed, err := l.m.RefreshCtx(ctx, res.Rows, res.Vals)
+	ctx, sp := obs.StartSpan(ctx, "live.refresh")
+	defer sp.End()
+	space, err := lattice.NewSpace(res.GroupBy, res.Rows, res.Vals)
+	if err != nil {
+		return BuildStats{}, false, err
+	}
+	if sameAnswers(l.sum.space, space) {
+		sp.SetAttr("changed", "false")
+		return BuildStats{}, false, nil
+	}
+	ix, stats, err := lattice.BuildIndexStats(ctx, space, l.sum.ix.L, true)
 	if err != nil {
 		return stats, false, err
 	}
-	if changed {
-		l.sum = &Summarizer{space: l.m.Index().Space, ix: l.m.Index()}
+	if l.sw != nil {
+		_, wsp := obs.StartSpan(ctx, "sweeper.warm")
+		// A failed warm leaves the old sweeper's state half-migrated; drop
+		// it and let the next Precompute cold-start.
+		l.sw, _ = l.sw.Warm(ix)
+		wsp.End()
 	}
-	return stats, changed, nil
+	l.sum = &Summarizer{space: space, ix: ix}
+	l.gen++
+	sp.SetAttr("changed", "true")
+	return stats, true, nil
 }
 
-// ApplyDelta applies a prebuilt batch of answer-tuple appends and deletes
-// (for callers that know their delta without re-running a query).
-func (l *Live) ApplyDelta(d DeltaBatch) (DeltaStats, error) {
-	stats, err := l.m.Apply(d)
-	if err != nil {
-		return stats, err
+// sameAnswers reports whether two spaces rank the same rendered rows with
+// the same value bits.
+func sameAnswers(a, b *lattice.Space) bool {
+	if a.N() != b.N() || a.M() != b.M() {
+		return false
 	}
-	l.sum = &Summarizer{space: l.m.Index().Space, ix: l.m.Index()}
-	return stats, nil
+	for i, ta := range a.Tuples {
+		if math.Float64bits(a.Vals[i]) != math.Float64bits(b.Vals[i]) {
+			return false
+		}
+		tb := b.Tuples[i]
+		for j := range ta {
+			if a.Dicts[j].Value(ta[j]) != b.Dicts[j].Value(tb[j]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Precompute materializes the (k, D) store for the current generation,
-// stamped with the data version, reusing the warm sweeper chain: after a
-// refresh, replay states and (on the fast path) LCA memos from the previous
-// generation's sweep are reused instead of re-allocated.
+// stamped with the data version (an explicit WithStoreGeneration wins). The
+// sweeper is created on first use and warm-started across refreshes after
+// that, so a refreshed session reuses the previous sweep's replay states; a
+// kMax beyond what the chain was provisioned for re-provisions it cold.
 func (l *Live) Precompute(kMin, kMax int, ds []int, opts ...PrecomputeOption) (*Store, error) {
-	return l.m.Precompute(kMin, kMax, ds, opts...)
+	if kMax < 1 {
+		return nil, fmt.Errorf("qagview: kMax = %d, want >= 1", kMax)
+	}
+	if l.sw == nil || l.sw.KMax() < kMax {
+		sw, err := summarize.NewSweeper(l.sum.ix, l.sum.ix.L, kMax, l.sumOpts...)
+		if err != nil {
+			return nil, err
+		}
+		l.sw = sw
+	}
+	opts = append([]PrecomputeOption{precompute.WithGeneration(l.gen)}, opts...)
+	return precompute.RunSweeper(l.sw, kMin, kMax, ds, opts...)
 }
 
 // ClusterRow describes one output cluster for display.
