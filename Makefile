@@ -74,12 +74,14 @@ benchgate: bench
 # fuzz gives the SQL front end a short adversarial workout: the parser
 # fuzzer, then the differential executor fuzzer (reference vs vectorized at
 # par 1/8 x packed/string keys x hash/generic join paths); then the two
-# decoders behind the data directory: store snapshots and WAL segments.
+# decoders behind the data directory: store snapshots and WAL segments;
+# then the HTTP JSON bodies of table creates, row appends and sessions.
 fuzz:
 	go test -run '^$$' -fuzz FuzzParse -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzExec -fuzztime 30s ./internal/engine/
 	go test -run '^$$' -fuzz FuzzDecodeStore -fuzztime 30s ./internal/precompute/
 	go test -run '^$$' -fuzz FuzzWALSegment -fuzztime 30s ./internal/wal/
+	go test -run '^$$' -fuzz FuzzTableBodies -fuzztime 30s ./internal/server/
 
 # loc prints production and test Go line counts per package directory
 # (testdata and the separate qagbench module excluded), then the totals.

@@ -642,7 +642,7 @@ func BenchmarkTraceOverhead(b *testing.B) {
 			return []qagview.QueryOption{qagview.ExecContext(context.Background())}, nil
 		}},
 		{"traced", func() ([]qagview.QueryOption, *obs.Trace) {
-			ctx, tr := tracer.StartTrace(context.Background(), "bench.query", true)
+			ctx, tr := tracer.StartTrace(context.Background(), obs.NewRequestID(), "bench.query", true)
 			return []qagview.QueryOption{qagview.ExecContext(ctx)}, tr
 		}},
 	} {

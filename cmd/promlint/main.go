@@ -1,5 +1,7 @@
 // Command promlint validates Prometheus text-exposition output on stdin
-// with the same parser the server tests use (internal/obs.ParseExposition).
+// with the same parser the server tests use (internal/obs.ParseExposition),
+// histograms included: every _bucket carries le, bounds ascend, counts
+// never decrease, the +Inf bucket equals _count, and _sum is present.
 // The e2e smoke pipes /metrics?format=prometheus through it so a scrape
 // that drifts out of the exposition grammar fails the suite, not just a
 // human eyeball.

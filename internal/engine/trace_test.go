@@ -16,7 +16,7 @@ func tracedCtx(t *testing.T) (context.Context, *obs.Tracer, *obs.Trace) {
 	t.Helper()
 	tr := obs.NewTracer(8, slog.New(slog.NewTextHandler(nullWriter{}, nil)))
 	tr.SetEnabled(true)
-	ctx, trace := tr.StartTrace(context.Background(), "test", false)
+	ctx, trace := tr.StartTrace(context.Background(), obs.NewRequestID(), "test", false)
 	if trace == nil {
 		t.Fatal("tracer did not start a trace")
 	}

@@ -1,6 +1,7 @@
 // Package obs is qagview's stdlib-only observability layer: request-scoped
 // span trees carried through context.Context, a fixed-size ring of recent
-// traces, per-query operator profiles, and a Prometheus text-format encoder.
+// traces, and one metrics registry (counters, gauges, histograms) rendered
+// as JSON and as Prometheus text.
 //
 // The design goal is near-zero cost when tracing is off: every entry point
 // is nil-safe, StartSpan returns (ctx, nil) without allocating when the
@@ -169,23 +170,22 @@ func (s SpanSnapshot) spanCount() int {
 // Request IDs: a per-boot random prefix plus an atomic counter. Unique
 // within a process lifetime and cheap enough for the per-request path.
 var (
-	ridPrefix = bootPrefix()
-	ridSeq    atomic.Uint64
+	ridPrefix = func() string {
+		var b [4]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			// crypto/rand failing is effectively fatal elsewhere; fall back
+			// to a fixed prefix rather than take a time-based dependency.
+			return "00000000"
+		}
+		return hex.EncodeToString(b[:])
+	}()
+	ridSeq atomic.Uint64
 )
 
-func bootPrefix() string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; fall back
-		// to a fixed prefix rather than take a time-based dependency.
-		return "00000000"
-	}
-	return hex.EncodeToString(b[:])
-}
-
 // NewRequestID returns a process-unique request identifier, e.g.
-// "3fa9c1d2-1f". It is stamped on responses as X-Request-Id and into
-// slog records so client reports correlate with server logs and traces.
+// "3fa9c1d2-1f". It is stamped on responses as X-Request-Id, names the
+// request's trace, and goes into slog records, so client reports correlate
+// with server logs and traces.
 func NewRequestID() string {
 	return ridPrefix + "-" + strconv.FormatUint(ridSeq.Add(1), 16)
 }

@@ -35,7 +35,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 	tr := NewTracer(8, discardLogger())
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		ctx2, trace := tr.StartTrace(ctx, "req", false)
+		ctx2, trace := tr.StartTrace(ctx, "3fa9c1d2-1f", "req", false)
 		ctx3, sp := StartSpan(ctx2, "engine.execute")
 		sp.SetInt("rows", 1)
 		_, sp2 := StartSpan(ctx3, "merge")
@@ -51,7 +51,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 func TestSpanTreeStructure(t *testing.T) {
 	tr := NewTracer(8, discardLogger())
 	tr.SetEnabled(true)
-	ctx, trace := tr.StartTrace(context.Background(), "req", false)
+	ctx, trace := tr.StartTrace(context.Background(), NewRequestID(), "req", false)
 	if trace == nil {
 		t.Fatal("enabled tracer returned nil trace")
 	}
@@ -94,7 +94,7 @@ func TestSpanTreeStructure(t *testing.T) {
 func TestConcurrentChildren(t *testing.T) {
 	tr := NewTracer(8, discardLogger())
 	tr.SetEnabled(true)
-	_, trace := tr.StartTrace(context.Background(), "req", false)
+	_, trace := tr.StartTrace(context.Background(), NewRequestID(), "req", false)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -121,7 +121,7 @@ func TestRingWraparound(t *testing.T) {
 	tr.SetEnabled(true)
 	var ids []string
 	for i := 0; i < 11; i++ {
-		_, trace := tr.StartTrace(context.Background(), fmt.Sprintf("t%d", i), false)
+		_, trace := tr.StartTrace(context.Background(), NewRequestID(), fmt.Sprintf("t%d", i), false)
 		tr.Finish(trace)
 		ids = append(ids, trace.ID)
 	}
@@ -158,13 +158,13 @@ func TestSlowRingRetention(t *testing.T) {
 	tr.SetEnabled(true)
 	tr.SetSlowThreshold(time.Nanosecond) // everything is slow
 
-	_, slow := tr.StartTrace(context.Background(), "slowone", false)
+	_, slow := tr.StartTrace(context.Background(), NewRequestID(), "slowone", false)
 	time.Sleep(time.Millisecond)
 	tr.Finish(slow)
 
 	tr.SetSlowThreshold(time.Hour) // subsequent traces are fast
 	for i := 0; i < 5; i++ {
-		_, fast := tr.StartTrace(context.Background(), "fast", false)
+		_, fast := tr.StartTrace(context.Background(), NewRequestID(), "fast", false)
 		tr.Finish(fast)
 	}
 
@@ -198,7 +198,7 @@ func TestForcedTraceWhileDisabled(t *testing.T) {
 	if tr.Enabled() {
 		t.Fatal("tracer should start disabled")
 	}
-	ctx, trace := tr.StartTrace(context.Background(), "forced", true)
+	ctx, trace := tr.StartTrace(context.Background(), NewRequestID(), "forced", true)
 	if trace == nil {
 		t.Fatal("force=true must start a trace even when disabled")
 	}
@@ -212,7 +212,7 @@ func TestForcedTraceWhileDisabled(t *testing.T) {
 
 func TestNilTracerSafe(t *testing.T) {
 	var tr *Tracer
-	ctx, trace := tr.StartTrace(context.Background(), "x", true)
+	ctx, trace := tr.StartTrace(context.Background(), NewRequestID(), "x", true)
 	if trace != nil {
 		t.Fatal("nil tracer must not trace")
 	}

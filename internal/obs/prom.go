@@ -8,75 +8,38 @@ import (
 	"strings"
 )
 
-// PromWriter renders the Prometheus text exposition format (version
-// 0.0.4) by hand: the module takes no dependencies, and the subset we
-// emit — counters and gauges with optional labels — is small enough
-// that a correct encoder is ~100 lines. ParseExposition below is the
-// matching validator used by unit tests and the e2e smoke scrape.
-type PromWriter struct {
-	b strings.Builder
+// promWriter renders the Prometheus text exposition format (version
+// 0.0.4) by hand: the module takes no dependencies, and the subset the
+// registry emits — counters, gauges and histograms with constant labels —
+// is small. ParseExposition below is the matching validator used by unit
+// tests and the e2e smoke scrape.
+type promWriter struct{ strings.Builder }
+
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
+)
+
+// family starts a metric family: its # HELP and # TYPE lines.
+func (w *promWriter) family(name, typ, help string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, helpEscaper.Replace(help), name, typ)
 }
 
-// Family starts a new metric family, emitting # HELP and # TYPE lines.
-// typ must be "counter" or "gauge".
-func (w *PromWriter) Family(name, typ, help string) {
-	w.b.WriteString("# HELP ")
-	w.b.WriteString(name)
-	w.b.WriteByte(' ')
-	w.b.WriteString(escapeHelp(help))
-	w.b.WriteByte('\n')
-	w.b.WriteString("# TYPE ")
-	w.b.WriteString(name)
-	w.b.WriteByte(' ')
-	w.b.WriteString(typ)
-	w.b.WriteByte('\n')
-}
-
-// Sample emits one sample line. labels are alternating key, value pairs;
-// values are escaped per the exposition format.
-func (w *PromWriter) Sample(name string, value float64, labels ...string) {
-	w.b.WriteString(name)
-	if len(labels) > 0 {
-		w.b.WriteByte('{')
-		for i := 0; i+1 < len(labels); i += 2 {
-			if i > 0 {
-				w.b.WriteByte(',')
-			}
-			w.b.WriteString(labels[i])
-			w.b.WriteString(`="`)
-			w.b.WriteString(escapeLabel(labels[i+1]))
-			w.b.WriteByte('"')
+// sample writes one sample line; labels are key, value pairs.
+func (w *promWriter) sample(name string, value float64, labels ...string) {
+	w.WriteString(name)
+	for i := 0; i+1 < len(labels); i += 2 {
+		sep := ","
+		if i == 0 {
+			sep = "{"
 		}
-		w.b.WriteByte('}')
+		fmt.Fprintf(w, `%s%s="%s"`, sep, labels[i], labelEscaper.Replace(labels[i+1]))
 	}
-	w.b.WriteByte(' ')
-	w.b.WriteString(formatValue(value))
-	w.b.WriteByte('\n')
-}
-
-// String returns the rendered exposition body.
-func (w *PromWriter) String() string { return w.b.String() }
-
-func formatValue(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
+	if len(labels) > 0 {
+		w.WriteByte('}')
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
-
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`, `"`, `\"`)
-	return r.Replace(s)
+	// FormatFloat spells the special values as the format does: NaN, ±Inf.
+	w.WriteString(" " + strconv.FormatFloat(value, 'g', -1, 64) + "\n")
 }
 
 // PromSample is one parsed sample line.
@@ -98,8 +61,8 @@ type PromFamily struct {
 // It enforces the invariants our encoder (and the scrapers we care
 // about) rely on: every sample belongs to a declared family, TYPE is
 // counter/gauge/histogram/summary/untyped, metric and label names match
-// the Prometheus grammar, values parse as floats, and no family is
-// declared twice.
+// the Prometheus grammar, values parse as floats, no family is declared
+// twice, and every histogram is well formed (see checkHistogram).
 func ParseExposition(body string) ([]PromFamily, error) {
 	var fams []PromFamily
 	byName := map[string]int{}
@@ -174,8 +137,81 @@ func ParseExposition(body string) ([]PromFamily, error) {
 		if len(f.Samples) == 0 {
 			return nil, fmt.Errorf("family %q declared but has no samples", f.Name)
 		}
+		if f.Type == "histogram" {
+			if err := checkHistogram(f); err != nil {
+				return nil, err
+			}
+		}
 	}
 	return fams, nil
+}
+
+// checkHistogram validates each series of a histogram family: only
+// _bucket, _sum and _count samples; every _bucket carries le; bounds
+// ascend and cumulative counts never decrease; a +Inf bucket equals
+// _count; and _sum is present.
+func checkHistogram(f PromFamily) error {
+	type hseries struct {
+		le, cum, inf, count float64 // inf and count stay NaN until seen
+		hasSum              bool
+	}
+	var keys []string
+	byKey := map[string]*hseries{}
+	for _, s := range f.Samples {
+		var parts []string
+		for k, v := range s.Labels {
+			if k != "le" {
+				parts = append(parts, k+"="+v)
+			}
+		}
+		sort.Strings(parts)
+		key := strings.Join(parts, ",")
+		h := byKey[key]
+		if h == nil {
+			h = &hseries{le: math.Inf(-1), inf: math.NaN(), count: math.NaN()}
+			byKey[key] = h
+			keys = append(keys, key)
+		}
+		switch s.Name {
+		case f.Name + "_bucket":
+			raw, ok := s.Labels["le"]
+			if !ok {
+				return fmt.Errorf("histogram %q {%s}: bucket without le", f.Name, key)
+			}
+			le, err := parsePromValue(raw)
+			if err != nil || math.IsNaN(le) {
+				return fmt.Errorf("histogram %q {%s}: bad le %q", f.Name, key, raw)
+			}
+			if le <= h.le {
+				return fmt.Errorf("histogram %q {%s}: bucket bounds do not ascend at le=%q", f.Name, key, raw)
+			}
+			if s.Value < h.cum {
+				return fmt.Errorf("histogram %q {%s}: bucket count decreases at le=%q", f.Name, key, raw)
+			}
+			h.le, h.cum = le, s.Value
+			if math.IsInf(le, 1) {
+				h.inf = s.Value
+			}
+		case f.Name + "_sum":
+			h.hasSum = true
+		case f.Name + "_count":
+			h.count = s.Value
+		default:
+			return fmt.Errorf("histogram %q: sample %q is not _bucket, _sum or _count", f.Name, s.Name)
+		}
+	}
+	for _, key := range keys {
+		h := byKey[key]
+		switch {
+		case math.IsNaN(h.inf):
+			return fmt.Errorf("histogram %q {%s}: no +Inf bucket", f.Name, key)
+		case h.count != h.inf: // also when _count is missing (NaN)
+			return fmt.Errorf("histogram %q {%s}: _count %v does not equal the +Inf bucket %v", f.Name, key, h.count, h.inf)
+		case !h.hasSum:
+			return fmt.Errorf("histogram %q {%s}: no _sum", f.Name, key)
+		}
+	}
+	return nil
 }
 
 func parseSampleLine(line string) (PromSample, error) {
@@ -290,68 +326,22 @@ func parsePromValue(s string) (float64, error) {
 	return strconv.ParseFloat(s, 64)
 }
 
-func validMetricName(s string) bool {
-	if s == "" {
-		return false
-	}
+// validMetricName reports whether s matches the metric name grammar.
+func validMetricName(s string) bool { return validName(s, true) }
+
+// validLabelName reports whether s matches the label name grammar (no
+// colons, and the __ prefix is reserved).
+func validLabelName(s string) bool { return !strings.HasPrefix(s, "__") && validName(s, false) }
+
+func validName(s string, colons bool) bool {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		ok := c == '_' || c == ':' ||
+		ok := c == '_' || colons && c == ':' ||
 			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(i > 0 && c >= '0' && c <= '9')
 		if !ok {
 			return false
 		}
 	}
-	return true
-}
-
-func validLabelName(s string) bool {
-	if s == "" || strings.HasPrefix(s, "__") {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		ok := c == '_' ||
-			(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-			(i > 0 && c >= '0' && c <= '9')
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// FindSample locates a sample by family name and an exact label subset
-// match (every given label must be present with the given value). It is
-// the lookup helper tests and promlint use.
-func FindSample(fams []PromFamily, name string, labels map[string]string) (PromSample, bool) {
-	for _, f := range fams {
-		if f.Name != name {
-			continue
-		}
-		for _, s := range f.Samples {
-			match := true
-			for k, v := range labels {
-				if s.Labels[k] != v {
-					match = false
-					break
-				}
-			}
-			if match {
-				return s, true
-			}
-		}
-	}
-	return PromSample{}, false
-}
-
-// FamilyNames returns the sorted names of all parsed families.
-func FamilyNames(fams []PromFamily) []string {
-	names := make([]string, 0, len(fams))
-	for _, f := range fams {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
+	return s != ""
 }

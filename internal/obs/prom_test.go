@@ -2,42 +2,74 @@ package obs
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 )
 
-func TestPromRoundTrip(t *testing.T) {
-	var w PromWriter
-	w.Family("qag_requests_total", "counter", "Requests by route and code.")
-	w.Sample("qag_requests_total", 12, "route", "POST /v1/queries", "code", "200")
-	w.Sample("qag_requests_total", 3, "route", "GET /healthz", "code", "200")
-	w.Family("qag_heap_bytes", "gauge", "Heap in use.")
-	w.Sample("qag_heap_bytes", 1048576)
-	w.Family("qag_weird", "gauge", `escapes \ and "quotes"`)
-	w.Sample("qag_weird", math.Inf(1), "v", "a\\b\"c\nd")
+// findSample locates a sample by family name and an exact label subset
+// match (every given label must be present with the given value).
+func findSample(fams []PromFamily, name string, labels map[string]string) (PromSample, bool) {
+	for _, f := range fams {
+		if f.Name != name {
+			continue
+		}
+		for _, s := range f.Samples {
+			match := true
+			for k, v := range labels {
+				match = match && s.Labels[k] == v
+			}
+			if match {
+				return s, true
+			}
+		}
+	}
+	return PromSample{}, false
+}
 
-	fams, err := ParseExposition(w.String())
+// familyNames returns the sorted names of all parsed families.
+func familyNames(fams []PromFamily) []string {
+	var names []string
+	for _, f := range fams {
+		names = append(names, f.Name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func TestPromRoundTrip(t *testing.T) {
+	var reg Registry
+	var queries, health Counter
+	queries.Add(12)
+	health.Add(3)
+	reg.Counter(&queries, Opts{Name: "qag_requests_total", Help: "Requests by route and code.", Labels: []string{"route", "POST /v1/queries", "code", "200"}, JSON: "q"})
+	reg.Counter(&health, Opts{Name: "qag_requests_total", Help: "Requests by route and code.", Labels: []string{"route", "GET /healthz", "code", "200"}, JSON: "h"})
+	reg.Gauge(func() float64 { return 1048576 }, Opts{Name: "qag_heap_bytes", Help: "Heap in use.", JSON: "heap"})
+	reg.Gauge(func() float64 { return math.Inf(1) }, Opts{Name: "qag_weird", Help: `escapes \ and "quotes"`, Labels: []string{"v", "a\\b\"c\nd"}, JSON: "weird"})
+
+	body := reg.Prometheus()
+	fams, err := ParseExposition(body)
 	if err != nil {
-		t.Fatalf("our own output failed to parse: %v\n%s", err, w.String())
+		t.Fatalf("our own output failed to parse: %v\n%s", err, body)
 	}
 	if len(fams) != 3 {
 		t.Fatalf("families %d, want 3", len(fams))
 	}
-	s, ok := FindSample(fams, "qag_requests_total", map[string]string{"route": "POST /v1/queries"})
+	s, ok := findSample(fams, "qag_requests_total", map[string]string{"route": "POST /v1/queries"})
 	if !ok || s.Value != 12 || s.Labels["code"] != "200" {
 		t.Fatalf("lookup failed: %+v ok=%v", s, ok)
 	}
-	if s, ok := FindSample(fams, "qag_heap_bytes", nil); !ok || s.Value != 1048576 {
+	if s, ok := findSample(fams, "qag_heap_bytes", nil); !ok || s.Value != 1048576 {
 		t.Fatalf("unlabeled lookup: %+v ok=%v", s, ok)
 	}
-	s, ok = FindSample(fams, "qag_weird", nil)
+	s, ok = findSample(fams, "qag_weird", nil)
 	if !ok || !math.IsInf(s.Value, 1) {
 		t.Fatalf("inf value: %+v", s)
 	}
 	if s.Labels["v"] != "a\\b\"c\nd" {
 		t.Fatalf("label escaping roundtrip: %q", s.Labels["v"])
 	}
-	names := FamilyNames(fams)
+	names := familyNames(fams)
 	if strings.Join(names, ",") != "qag_heap_bytes,qag_requests_total,qag_weird" {
 		t.Fatalf("names %v", names)
 	}
@@ -69,7 +101,7 @@ func TestParseExpositionAcceptsTimestampAndComments(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if s, ok := FindSample(fams, "m", nil); !ok || s.Value != 4 {
+	if s, ok := findSample(fams, "m", nil); !ok || s.Value != 4 {
 		t.Fatalf("sample %+v ok=%v", s, ok)
 	}
 }

@@ -3,7 +3,6 @@ package obs
 import (
 	"context"
 	"log/slog"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,24 +63,46 @@ type TraceSummary struct {
 	Slow       bool    `json:"slow,omitempty"`
 }
 
-// Tracer owns the enabled gate, trace-ID sequence, and two fixed-size
-// rings: recent completed traces (overwritten in arrival order) and slow
-// traces (retained past ring churn, and logged through slog).
+// Tracer owns the enabled gate and two fixed-size rings: recent completed
+// traces (overwritten in arrival order) and slow traces (retained past ring
+// churn, and logged through slog).
 type Tracer struct {
 	enabled   atomic.Bool
 	slowNanos atomic.Int64
-	seq       atomic.Uint64
-	prefix    string
 	logger    *slog.Logger
 
-	mu        sync.Mutex
-	recent    []*Trace // ring of cap ringSize
-	next      int
-	total     uint64
-	slow      []*Trace // ring of cap ringSize
-	slowNext  int
-	slowTotal uint64
-	ringSize  int
+	// Finished and FinishedSlow count finished traces, all and those at or
+	// past the slow threshold.
+	Finished, FinishedSlow Counter
+
+	mu           sync.Mutex
+	recent, slow traceRing
+	ringSize     int
+}
+
+// traceRing keeps the last ringSize traces, overwriting the oldest.
+type traceRing struct {
+	buf  []*Trace
+	next int // slot of the next push (the oldest entry once full)
+}
+
+func (r *traceRing) push(tr *Trace, size int) {
+	if len(r.buf) < size {
+		r.buf = append(r.buf, tr)
+	} else {
+		r.buf[r.next] = tr
+	}
+	r.next = (r.next + 1) % size
+}
+
+// newestFirst lists the ring's traces, newest first.
+func (r *traceRing) newestFirst() []*Trace {
+	n := len(r.buf)
+	out := make([]*Trace, n)
+	for i := range out {
+		out[i] = r.buf[(r.next-1-i+n)%n]
+	}
+	return out
 }
 
 // DefaultRingSize is the per-ring trace capacity when none is configured.
@@ -97,7 +118,7 @@ func NewTracer(size int, logger *slog.Logger) *Tracer {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Tracer{prefix: bootPrefix(), logger: logger, ringSize: size}
+	return &Tracer{logger: logger, ringSize: size}
 }
 
 // SetEnabled flips the global tracing gate.
@@ -119,17 +140,19 @@ func (t *Tracer) SlowThreshold() time.Duration {
 	return time.Duration(t.slowNanos.Load())
 }
 
-// StartTrace begins a new trace rooted at name and returns a context
-// carrying the root span. When tracing is disabled and force is false it
-// returns (ctx, nil); Finish(nil) is a no-op, so callers need no branches.
-// force starts the trace regardless of the gate (the ?trace=1 opt-in).
-func (t *Tracer) StartTrace(ctx context.Context, name string, force bool) (context.Context, *Trace) {
+// StartTrace begins a new trace with the given id (a request's
+// X-Request-Id, or NewRequestID for background work) rooted at name, and
+// returns a context carrying the root span. When tracing is disabled and
+// force is false it returns (ctx, nil); Finish(nil) is a no-op, so callers
+// need no branches. force starts the trace regardless of the gate (the
+// ?trace=1 opt-in).
+func (t *Tracer) StartTrace(ctx context.Context, id, name string, force bool) (context.Context, *Trace) {
 	if t == nil || (!t.enabled.Load() && !force) {
 		return ctx, nil
 	}
 	now := time.Now()
 	tr := &Trace{
-		ID:    t.prefix + "-" + strconv.FormatUint(t.seq.Add(1), 16),
+		ID:    id,
 		Name:  name,
 		Start: now,
 		Root:  &Span{name: name, start: now},
@@ -151,25 +174,15 @@ func (t *Tracer) Finish(tr *Trace) {
 	isSlow := slowAt > 0 && tr.dur >= slowAt
 
 	t.mu.Lock()
-	if len(t.recent) < t.ringSize {
-		t.recent = append(t.recent, tr)
-	} else {
-		t.recent[t.next] = tr
-	}
-	t.next = (t.next + 1) % t.ringSize
-	t.total++
+	t.recent.push(tr, t.ringSize)
 	if isSlow {
-		if len(t.slow) < t.ringSize {
-			t.slow = append(t.slow, tr)
-		} else {
-			t.slow[t.slowNext] = tr
-		}
-		t.slowNext = (t.slowNext + 1) % t.ringSize
-		t.slowTotal++
+		t.slow.push(tr, t.ringSize)
 	}
 	t.mu.Unlock()
+	t.Finished.Inc()
 
 	if isSlow {
+		t.FinishedSlow.Inc()
 		t.logger.Warn("slow trace",
 			"trace_id", tr.ID,
 			"name", tr.Name,
@@ -186,44 +199,22 @@ func (t *Tracer) Recent() []TraceSummary {
 		return nil
 	}
 	t.mu.Lock()
-	recent := t.ringNewestFirst(t.recent, t.next)
-	slow := t.ringNewestFirst(t.slow, t.slowNext)
+	recent, slow := t.recent.newestFirst(), t.slow.newestFirst()
 	t.mu.Unlock()
 
-	seen := make(map[string]bool, len(recent))
-	var out []TraceSummary
+	churned := make(map[*Trace]bool, len(slow)) // slow, and not in recent
+	for _, tr := range slow {
+		churned[tr] = true
+	}
+	out := make([]TraceSummary, 0, len(recent)+len(slow))
 	for _, tr := range recent {
-		seen[tr.ID] = true
-		out = append(out, summarize(tr, false))
+		out = append(out, summarize(tr, churned[tr]))
+		delete(churned, tr)
 	}
 	for _, tr := range slow {
-		if !seen[tr.ID] {
+		if churned[tr] {
 			out = append(out, summarize(tr, true))
 		}
-	}
-	// Mark slowness on entries still present in the recent ring.
-	slowIDs := make(map[string]bool, len(slow))
-	for _, tr := range slow {
-		slowIDs[tr.ID] = true
-	}
-	for i := range out {
-		if slowIDs[out[i].ID] {
-			out[i].Slow = true
-		}
-	}
-	return out
-}
-
-// ringNewestFirst flattens a ring (next = index of the oldest entry once
-// full) into newest-first order. Caller holds t.mu.
-func (t *Tracer) ringNewestFirst(ring []*Trace, next int) []*Trace {
-	out := make([]*Trace, 0, len(ring))
-	for i := 0; i < len(ring); i++ {
-		idx := next - 1 - i
-		for idx < 0 {
-			idx += len(ring)
-		}
-		out = append(out, ring[idx%len(ring)])
 	}
 	return out
 }
@@ -243,20 +234,12 @@ func (t *Tracer) Get(id string) (TraceSnapshot, bool) {
 	if t == nil {
 		return TraceSnapshot{}, false
 	}
-	t.mu.Lock()
 	var found *Trace
-	for _, tr := range t.recent {
+	t.mu.Lock()
+	for _, tr := range append(t.recent.buf[:len(t.recent.buf):len(t.recent.buf)], t.slow.buf...) {
 		if tr.ID == id {
 			found = tr
 			break
-		}
-	}
-	if found == nil {
-		for _, tr := range t.slow {
-			if tr.ID == id {
-				found = tr
-				break
-			}
 		}
 	}
 	t.mu.Unlock()
@@ -266,7 +249,7 @@ func (t *Tracer) Get(id string) (TraceSnapshot, bool) {
 	return found.Snapshot(), true
 }
 
-// RingStats describes ring occupancy for /metrics gauges.
+// RingStats describes ring occupancy for /debug/traces.
 type RingStats struct {
 	Enabled   bool   `json:"enabled"`
 	Capacity  int    `json:"capacity"`
@@ -285,10 +268,10 @@ func (t *Tracer) Stats() RingStats {
 	st := RingStats{
 		Enabled:   t.enabled.Load(),
 		Capacity:  t.ringSize,
-		Recent:    len(t.recent),
-		Slow:      len(t.slow),
-		Total:     t.total,
-		SlowTotal: t.slowTotal,
+		Recent:    len(t.recent.buf),
+		Slow:      len(t.slow.buf),
+		Total:     uint64(t.Finished.Load()),
+		SlowTotal: uint64(t.FinishedSlow.Load()),
 	}
 	t.mu.Unlock()
 	return st

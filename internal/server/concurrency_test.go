@@ -128,9 +128,9 @@ func TestConcurrentSessionTraffic(t *testing.T) {
 
 	// The two distinct (query, L, grid) tuples must have built exactly twice
 	// despite 4 racing creators and 8 racing readers.
-	entries, bytes, stats := srv.sessions.occupancy()
-	if stats.Builds != 2 {
-		t.Errorf("builds = %d, want 2 (singleflight dedupe)", stats.Builds)
+	entries, bytes := srv.sessions.occupancy()
+	if builds := srv.sessions.events.builds.Load(); builds != 2 {
+		t.Errorf("builds = %d, want 2 (singleflight dedupe)", builds)
 	}
 	if entries != 2 {
 		t.Errorf("live sessions = %d, want 2", entries)
@@ -194,11 +194,11 @@ func TestConcurrentEvictionChurn(t *testing.T) {
 	if t.Failed() {
 		t.Fatal("goroutine failures above")
 	}
-	entries, _, stats := srv.sessions.occupancy()
+	entries, _ := srv.sessions.occupancy()
 	if entries > 2 {
 		t.Errorf("live sessions = %d, want <= 2", entries)
 	}
-	if stats.Evictions == 0 {
+	if srv.sessions.events.evictions.Load() == 0 {
 		t.Error("expected evictions under churn")
 	}
 }

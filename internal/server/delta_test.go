@@ -237,9 +237,9 @@ func TestRefreshDeduplicated(t *testing.T) {
 	for e := range errs {
 		t.Fatal(e)
 	}
-	_, _, stats := srv.sessions.occupancy()
-	if stats.Refreshes != 1 || stats.RefreshErrors != 0 {
-		t.Fatalf("refresh stats after concurrent stale reads: %+v", stats)
+	ev := &srv.sessions.events
+	if ev.refreshes.Load() != 1 || ev.refreshErrors.Load() != 0 {
+		t.Fatalf("refresh stats after concurrent stale reads: %d refreshes, %d errors", ev.refreshes.Load(), ev.refreshErrors.Load())
 	}
 }
 
@@ -274,9 +274,9 @@ func TestRefreshNoop(t *testing.T) {
 	if info.body["store_generation"].(float64) != 1 {
 		t.Fatalf("carried store should keep its original generation: %s", info.raw)
 	}
-	_, _, stats := srv.sessions.occupancy()
-	if stats.RefreshNoops != 1 || stats.Refreshes != 0 {
-		t.Fatalf("refresh counters: %+v", stats)
+	ev := &srv.sessions.events
+	if ev.refreshNoops.Load() != 1 || ev.refreshes.Load() != 0 {
+		t.Fatalf("refresh counters: %d no-ops, %d refreshes", ev.refreshNoops.Load(), ev.refreshes.Load())
 	}
 }
 
@@ -300,9 +300,8 @@ func TestRefreshFailureKeepsSession(t *testing.T) {
 	if _, ok := srv.sessions.get(id); !ok {
 		t.Fatal("failed refresh evicted the session")
 	}
-	_, _, stats := srv.sessions.occupancy()
-	if stats.RefreshErrors == 0 {
-		t.Fatalf("refresh error not counted: %+v", stats)
+	if srv.sessions.events.refreshErrors.Load() == 0 {
+		t.Fatal("refresh error not counted")
 	}
 }
 
@@ -316,7 +315,7 @@ func TestDeleteSession(t *testing.T) {
 	if !ok {
 		t.Fatal("session not registered")
 	}
-	live, bytes, _ := srv.sessions.occupancy()
+	live, bytes := srv.sessions.occupancy()
 	if live != 1 || bytes <= 0 {
 		t.Fatalf("occupancy before delete: live=%d bytes=%d", live, bytes)
 	}
@@ -330,13 +329,13 @@ func TestDeleteSession(t *testing.T) {
 	if v.build.buildErr != nil && !errors.Is(v.build.buildErr, context.Canceled) {
 		t.Fatalf("deleted session's build error: %v", v.build.buildErr)
 	}
-	live, bytes, stats := srv.sessions.occupancy()
+	live, bytes = srv.sessions.occupancy()
 	if live != 0 || bytes != 0 {
 		t.Fatalf("occupancy after delete: live=%d bytes=%d", live, bytes)
 	}
 	// An explicit delete counts as a delete, not as cache-pressure eviction.
-	if stats.Deletes != 1 || stats.Evictions != 0 {
-		t.Fatalf("delete stats: %+v", stats)
+	if ev := &srv.sessions.events; ev.deletes.Load() != 1 || ev.evictions.Load() != 0 {
+		t.Fatalf("delete stats: %d deletes, %d evictions", ev.deletes.Load(), ev.evictions.Load())
 	}
 	if resp := get(t, ts, "/v1/sessions/"+id); resp.code != http.StatusNotFound {
 		t.Fatalf("deleted session still served: %d %s", resp.code, resp.raw)

@@ -13,6 +13,7 @@ import (
 
 	"qagview"
 	"qagview/internal/faultinject"
+	"qagview/internal/obs"
 	"qagview/internal/wal"
 )
 
@@ -52,35 +53,40 @@ type durability struct {
 	log           *wal.Log // nil until Recover
 	snapGens      map[string]uint64
 	checkpointing bool
-	stats         durStats
-}
 
-// durStats counts durability events for /metrics.
-type durStats struct {
-	Recoveries       int64 `json:"recoveries"`
-	RecordsReplayed  int64 `json:"records_replayed"`
-	RecordsSkipped   int64 `json:"records_skipped"`
-	SnapshotsLoaded  int64 `json:"snapshots_loaded"`
-	SnapshotsWritten int64 `json:"snapshots_written"`
-	Checkpoints      int64 `json:"checkpoints"`
-	CheckpointErrors int64 `json:"checkpoint_errors"`
-	TruncatedBytes   int64 `json:"truncated_bytes"`
+	// Counters for /metrics (declared in declareMetrics). The log counts
+	// its traffic into wal.
+	wal                                             wal.Metrics
+	recoveries, recordsReplayed, recordsSkipped     obs.Counter
+	snapshotsLoaded, truncatedBytes                 obs.Counter
+	checkpoints, checkpointErrors, snapshotsWritten obs.Counter
 }
 
 func newDurability(dir string, checkpointBytes int64) *durability {
 	return &durability{dir: dir, checkpointBytes: checkpointBytes, snapGens: make(map[string]uint64)}
 }
 
+// openLog returns the log, or nil before Recover.
+func (d *durability) openLog() *wal.Log {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.log
+}
+
+// broken reports whether the log has gone fail-stop.
+func (d *durability) broken() bool {
+	l := d.openLog()
+	return l != nil && l.Broken()
+}
+
 // ready returns the open log, or an error when Recover has not run yet —
 // with a WAL configured, nothing may be acknowledged before recovery has
 // replayed what the last process acknowledged.
 func (d *durability) ready() (*wal.Log, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.log == nil {
-		return nil, fmt.Errorf("%w: write-ahead log not recovered yet (call Recover before serving)", errDurability)
+	if l := d.openLog(); l != nil {
+		return l, nil
 	}
-	return d.log, nil
+	return nil, fmt.Errorf("%w: write-ahead log not recovered yet (call Recover before serving)", errDurability)
 }
 
 // stageFunc returns the hook db.register/db.update invoke under the catalog
@@ -178,12 +184,9 @@ func (s *Server) Recover() (RecoverStats, error) {
 		return RecoverStats{}, nil
 	}
 	d := s.dur
-	d.mu.Lock()
-	if d.log != nil {
-		d.mu.Unlock()
+	if d.openLog() != nil {
 		return RecoverStats{}, fmt.Errorf("already recovered")
 	}
-	d.mu.Unlock()
 
 	var stats RecoverStats
 	var err error
@@ -220,7 +223,7 @@ func (s *Server) Recover() (RecoverStats, error) {
 	}
 
 	// 2. WAL replay on top, torn tail truncated, corruption fail-stop.
-	walLog, info, err := wal.Open(d.dir, func(rec wal.Record) error {
+	walLog, info, err := wal.OpenMetered(d.dir, &d.wal, func(rec wal.Record) error {
 		applied, err := s.applyWALRecord(rec)
 		if err != nil {
 			return err
@@ -240,12 +243,12 @@ func (s *Server) Recover() (RecoverStats, error) {
 
 	d.mu.Lock()
 	d.log = walLog
-	d.stats.Recoveries++
-	d.stats.RecordsReplayed += int64(stats.RecordsReplayed)
-	d.stats.RecordsSkipped += int64(stats.RecordsSkipped)
-	d.stats.SnapshotsLoaded += int64(stats.SnapshotsLoaded)
-	d.stats.TruncatedBytes += stats.TruncatedBytes
 	d.mu.Unlock()
+	d.recoveries.Inc()
+	d.recordsReplayed.Add(int64(stats.RecordsReplayed))
+	d.recordsSkipped.Add(int64(stats.RecordsSkipped))
+	d.snapshotsLoaded.Add(int64(stats.SnapshotsLoaded))
+	d.truncatedBytes.Add(stats.TruncatedBytes)
 	return stats, nil
 }
 
@@ -319,9 +322,7 @@ func (s *Server) maybeCheckpoint() {
 			d.mu.Unlock()
 		}()
 		if err := s.checkpoint(); err != nil {
-			d.mu.Lock()
-			d.stats.CheckpointErrors++
-			d.mu.Unlock()
+			d.checkpointErrors.Inc()
 			s.logger.Warn("checkpoint failed (WAL keeps covering all tables)", "error", err)
 		}
 	}()
@@ -334,9 +335,7 @@ func (s *Server) maybeCheckpoint() {
 // un-pruned segments merely replay as skips.
 func (s *Server) checkpoint() error {
 	d := s.dur
-	d.mu.Lock()
-	walLog := d.log
-	d.mu.Unlock()
+	walLog := d.openLog()
 	if walLog == nil {
 		return nil
 	}
@@ -361,15 +360,13 @@ func (s *Server) checkpoint() error {
 		}
 		d.mu.Lock()
 		d.snapGens[name] = gen
-		d.stats.SnapshotsWritten++
 		d.mu.Unlock()
+		d.snapshotsWritten.Inc()
 	}
 	if err := walLog.Prune(sealed); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.stats.Checkpoints++
-	d.mu.Unlock()
+	d.checkpoints.Inc()
 	return nil
 }
 
@@ -424,23 +421,6 @@ func syncParentDir(dir string) error {
 	return f.Sync()
 }
 
-// walStats snapshots the durability gauges for /metrics; ok is false when
-// durability is disabled.
-func (s *Server) walStats() (wal.Stats, durStats, bool) {
-	if s.dur == nil {
-		return wal.Stats{}, durStats{}, false
-	}
-	s.dur.mu.Lock()
-	walLog := s.dur.log
-	stats := s.dur.stats
-	s.dur.mu.Unlock()
-	var ws wal.Stats
-	if walLog != nil {
-		ws = walLog.Stats()
-	}
-	return ws, stats, true
-}
-
 // BeginDrain flips the server into drain mode: mutating endpoints return
 // 503 + Retry-After immediately, read endpoints keep serving. Call it when
 // SIGTERM arrives, before http.Server.Shutdown stops the listener.
@@ -457,9 +437,7 @@ func (s *Server) Drain() error {
 	if s.dur == nil {
 		return nil
 	}
-	s.dur.mu.Lock()
-	walLog := s.dur.log
-	s.dur.mu.Unlock()
+	walLog := s.dur.openLog()
 	if walLog == nil {
 		return nil
 	}

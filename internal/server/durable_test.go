@@ -36,10 +36,7 @@ func durableServer(t *testing.T, dir string, cfg Config) (*Server, *httptest.Ser
 // then runs against snapshots + WAL exactly as after a crash.
 func closeWAL(t *testing.T, srv *Server) {
 	t.Helper()
-	srv.dur.mu.Lock()
-	l := srv.dur.log
-	srv.dur.mu.Unlock()
-	if err := l.Close(); err != nil {
+	if err := srv.dur.openLog().Close(); err != nil {
 		t.Fatalf("closing WAL: %v", err)
 	}
 }
@@ -144,6 +141,41 @@ func TestDurableRecoveryBitIdentity(t *testing.T) {
 	if got := solutionBody(t, ts2, 4, 2); got != wantSolution {
 		t.Fatalf("recovered solution differs:\n%s\nvs\n%s", got, wantSolution)
 	}
+}
+
+// TestCreateTableKeepsEmptyStringRow: an inline create whose one-column
+// row holds an empty string keeps that row, live and after WAL replay.
+func TestCreateTableKeepsEmptyStringRow(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, _ := durableServer(t, dir, Config{})
+	resp := post(t, ts, "/v1/tables", map[string]any{
+		"name": "e", "attrs": []string{"g"}, "rows": [][]string{{"a"}, {""}, {"b"}},
+	})
+	if resp.code != http.StatusCreated || resp.body["rows"] != 3.0 {
+		t.Fatalf("create: %d %s", resp.code, resp.raw)
+	}
+	check := func(srv *Server, when string) {
+		t.Helper()
+		rel, err := srv.db.table("e")
+		if err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		var got []string
+		for row := 0; row < rel.NumRows(); row++ {
+			got = append(got, rel.StringAt(0, row))
+		}
+		if strings.Join(got, "|") != "a||b" || len(got) != 3 {
+			t.Fatalf("%s table holds %q, want [a  b]", when, got)
+		}
+	}
+	check(srv, "live")
+	closeWAL(t, srv)
+	ts.Close()
+	srv2, _, stats := durableServer(t, dir, Config{})
+	if stats.RecordsReplayed != 1 {
+		t.Fatalf("recover stats: %+v, want the create record replayed", stats)
+	}
+	check(srv2, "recovered")
 }
 
 // TestRecoverEmptyWAL boots durably over an empty directory.
@@ -464,7 +496,7 @@ func TestPanicMiddleware(t *testing.T) {
 	if !strings.Contains(rr.Body.String(), "panicked") {
 		t.Fatalf("panic body: %s", rr.Body.String())
 	}
-	if got := srv.metrics.robustness().PanicsRecovered; got != 1 {
+	if got := srv.panics.Load(); got != 1 {
 		t.Fatalf("panics_recovered = %d, want 1", got)
 	}
 }
@@ -495,7 +527,7 @@ func TestAdmissionControl(t *testing.T) {
 	if rr.Header().Get("Retry-After") == "" {
 		t.Fatal("429 must carry Retry-After")
 	}
-	if got := srv.metrics.robustness().AdmissionRejects; got != 1 {
+	if got := srv.admissionRejects.Load(); got != 1 {
 		t.Fatalf("admission_rejects = %d, want 1", got)
 	}
 	close(release)

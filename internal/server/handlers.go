@@ -1,13 +1,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -97,7 +96,8 @@ func parseKinds(kinds map[string]string) (map[string]qagview.Kind, error) {
 // buildRelation validates a table request and parses it into a relation.
 // It is the single parse path for both the live create handler and WAL
 // replay — recovery re-runs exactly this code, which is what makes the
-// recovered table bit-identical to the acknowledged one.
+// recovered table bit-identical to the acknowledged one. Inline rows are
+// parsed value by value (parseRows), as appends are.
 func buildRelation(req tableRequest) (*qagview.Relation, error) {
 	if req.Name == "" {
 		return nil, fmt.Errorf("missing table name")
@@ -114,18 +114,18 @@ func buildRelation(req tableRequest) (*qagview.Relation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad kinds: %v", err)
 	}
-	raw := req.CSV
-	if raw == "" {
-		var buf bytes.Buffer
-		cw := csv.NewWriter(&buf)
-		_ = cw.Write(req.Attrs)
-		for _, row := range req.Rows {
-			_ = cw.Write(row)
+	var rel *qagview.Relation
+	if hasCSV {
+		rel, err = qagview.ReadCSV(strings.NewReader(req.CSV), req.Name, kinds)
+	} else {
+		cols := make([]qagview.Column, len(req.Attrs))
+		for i, a := range req.Attrs {
+			cols[i] = qagview.Column{Name: a, Kind: kinds[a]} // absent: KindString
 		}
-		cw.Flush()
-		raw = buf.String()
+		if err = parseRows(cols, req.Rows, req.Name); err == nil {
+			rel, err = qagview.FromColumns(req.Name, cols...)
+		}
 	}
-	rel, err := qagview.ReadCSV(strings.NewReader(raw), req.Name, kinds)
 	if err != nil {
 		return nil, fmt.Errorf("loading table: %v", err)
 	}
@@ -281,75 +281,61 @@ func (s *Server) handleAppendRows(w http.ResponseWriter, r *http.Request) {
 // appendToRelation parses the request rows against the table's schema and
 // returns a new relation with them appended (copy-on-write: the input
 // relation's column slices are never mutated). Each value is parsed exactly
-// once: CSV batches keep ReadCSV's typed columns, inline rows are parsed
-// value by typed value — never round-tripped through CSV, whose blank-line
-// skipping would silently drop a single-column row holding an empty string.
-// A batch with zero rows returns a nil relation (db.update treats it as a
+// once, by ReadCSV for a CSV batch and by parseRows for inline rows. A
+// batch with zero rows returns a nil relation (db.update treats it as a
 // no-op that leaves the data generation alone).
 func appendToRelation(rel *qagview.Relation, req appendRequest) (*qagview.Relation, int, error) {
-	copyCols := func(extra int) []qagview.Column {
-		cols := make([]qagview.Column, rel.NumCols())
-		for i := 0; i < rel.NumCols(); i++ {
-			src := rel.Column(i)
-			c := qagview.Column{Name: src.Name, Kind: src.Kind}
-			switch src.Kind {
-			case qagview.KindString:
-				c.Str = append(make([]string, 0, len(src.Str)+extra), src.Str...)
-			case qagview.KindInt:
-				c.Int = append(make([]int64, 0, len(src.Int)+extra), src.Int...)
-			case qagview.KindFloat:
-				c.Float = append(make([]float64, 0, len(src.Float)+extra), src.Float...)
-			}
-			cols[i] = c
-		}
-		return cols
+	batch := make([]qagview.Column, rel.NumCols())
+	kinds := make(map[string]qagview.Kind, rel.NumCols())
+	for i := range batch {
+		c := rel.Column(i)
+		batch[i] = qagview.Column{Name: c.Name, Kind: c.Kind}
+		kinds[c.Name] = c.Kind
 	}
-
 	if req.CSV != "" {
-		kinds := make(map[string]qagview.Kind, rel.NumCols())
-		for i := 0; i < rel.NumCols(); i++ {
-			c := rel.Column(i)
-			kinds[c.Name] = c.Kind
-		}
-		batch, err := qagview.ReadCSV(strings.NewReader(req.CSV), rel.Name(), kinds)
+		parsed, err := qagview.ReadCSV(strings.NewReader(req.CSV), rel.Name(), kinds)
 		if err != nil {
 			return nil, 0, err
 		}
-		if batch.NumCols() != rel.NumCols() {
-			return nil, 0, fmt.Errorf("append has %d columns, table %q has %d", batch.NumCols(), rel.Name(), rel.NumCols())
+		if parsed.NumCols() != rel.NumCols() {
+			return nil, 0, fmt.Errorf("append has %d columns, table %q has %d", parsed.NumCols(), rel.Name(), rel.NumCols())
 		}
-		for i := 0; i < rel.NumCols(); i++ {
-			if batch.Column(i).Name != rel.Column(i).Name {
+		for i := range batch {
+			got := parsed.Column(i)
+			if got.Name != batch[i].Name {
 				return nil, 0, fmt.Errorf("append column %d is %q, table has %q (columns must match the table's order)",
-					i, batch.Column(i).Name, rel.Column(i).Name)
+					i, got.Name, batch[i].Name)
 			}
+			batch[i] = *got
 		}
-		if batch.NumRows() == 0 {
-			return nil, 0, nil
-		}
-		cols := copyCols(batch.NumRows())
-		for i := range cols {
-			add := batch.Column(i)
-			switch cols[i].Kind {
-			case qagview.KindString:
-				cols[i].Str = append(cols[i].Str, add.Str...)
-			case qagview.KindInt:
-				cols[i].Int = append(cols[i].Int, add.Int...)
-			case qagview.KindFloat:
-				cols[i].Float = append(cols[i].Float, add.Float...)
-			}
-		}
-		next, err := qagview.FromColumns(rel.Name(), cols...)
-		if err != nil {
-			return nil, 0, err
-		}
-		return next, batch.NumRows(), nil
+	} else if err := parseRows(batch, req.Rows, rel.Name()); err != nil {
+		return nil, 0, err
 	}
+	n := batch[0].Len()
+	if n == 0 {
+		return nil, 0, nil
+	}
+	cols := make([]qagview.Column, len(batch))
+	for i, b := range batch {
+		src := rel.Column(i)
+		cols[i] = qagview.Column{Name: src.Name, Kind: src.Kind, Str: slices.Concat(src.Str, b.Str),
+			Int: slices.Concat(src.Int, b.Int), Float: slices.Concat(src.Float, b.Float)}
+	}
+	next, err := qagview.FromColumns(rel.Name(), cols...)
+	if err != nil {
+		return nil, 0, err
+	}
+	return next, n, nil
+}
 
-	cols := copyCols(len(req.Rows))
-	for ri, row := range req.Rows {
-		if len(row) != rel.NumCols() {
-			return nil, 0, fmt.Errorf("row %d has %d values, table %q has %d columns", ri, len(row), rel.Name(), rel.NumCols())
+// parseRows parses inline rows onto cols value by typed value, one value
+// per column in column order. Rows are never round-tripped through CSV,
+// whose blank-line skipping would silently drop a single-column row holding
+// an empty string.
+func parseRows(cols []qagview.Column, rows [][]string, table string) error {
+	for ri, row := range rows {
+		if len(row) != len(cols) {
+			return fmt.Errorf("row %d has %d values, table %q has %d columns", ri, len(row), table, len(cols))
 		}
 		for i := range cols {
 			c := &cols[i]
@@ -359,23 +345,19 @@ func appendToRelation(rel *qagview.Relation, req appendRequest) (*qagview.Relati
 			case qagview.KindInt:
 				v, err := strconv.ParseInt(row[i], 10, 64)
 				if err != nil {
-					return nil, 0, fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
+					return fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
 				}
 				c.Int = append(c.Int, v)
 			case qagview.KindFloat:
 				v, err := strconv.ParseFloat(row[i], 64)
 				if err != nil {
-					return nil, 0, fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
+					return fmt.Errorf("row %d column %q: %v", ri, c.Name, err)
 				}
 				c.Float = append(c.Float, v)
 			}
 		}
 	}
-	next, err := qagview.FromColumns(rel.Name(), cols...)
-	if err != nil {
-		return nil, 0, err
-	}
-	return next, len(req.Rows), nil
+	return nil
 }
 
 // ---- queries ----
@@ -487,7 +469,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "kmax = %d exceeds the server limit %d", req.KMax, maxSessionKMax)
 		return
 	}
-	sess, reused, err := s.sessions.open(r.Context(), s.db, req.SQL, req.L, req.KMin, req.KMax, req.Ds)
+	sess, reused, err := s.sessions.open(r.Context(), s.db, requestID(w), req.SQL, req.L, req.KMin, req.KMax, req.Ds)
 	if err != nil {
 		if isDeadline(err) {
 			writeErr(w, http.StatusServiceUnavailable, "creating session: %v", err)
@@ -502,7 +484,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	}
 	// A reused session may predate table appends; reconcile it like every
 	// read path so the create response's data_version is never stale.
-	v, err := s.sessions.freshen(r.Context(), s.db, sess)
+	v, err := s.sessions.freshen(r.Context(), s.db, requestID(w), sess)
 	if err != nil {
 		writeErr(w, http.StatusConflict, "session %s is stale and could not refresh: %v", sess.ID, err)
 		return
@@ -567,7 +549,7 @@ func (s *Server) freshSession(w http.ResponseWriter, r *http.Request) (*session,
 	if !ok {
 		return nil, nil, false
 	}
-	v, err := s.sessions.freshen(r.Context(), s.db, sess)
+	v, err := s.sessions.freshen(r.Context(), s.db, requestID(w), sess)
 	if err != nil {
 		writeErr(w, http.StatusConflict, "session %s is stale and could not refresh: %v", sess.ID, err)
 		return nil, nil, false

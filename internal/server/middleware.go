@@ -21,7 +21,7 @@ func (s *Server) recoverPanics(h http.HandlerFunc) http.HandlerFunc {
 			if rec == http.ErrAbortHandler {
 				panic(rec)
 			}
-			s.metrics.countPanic()
+			s.panics.Inc()
 			s.logger.Error("panic in handler",
 				"method", r.Method,
 				"path", r.URL.Path,
@@ -75,7 +75,7 @@ func (s *Server) admitBuild(h http.HandlerFunc) http.HandlerFunc {
 		select {
 		case s.buildSlots <- struct{}{}:
 		default:
-			s.metrics.countAdmissionReject()
+			s.admissionRejects.Inc()
 			w.Header().Set("Retry-After", "1")
 			writeErr(w, http.StatusTooManyRequests, "too many session builds in flight; retry shortly")
 			return

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -60,6 +59,51 @@ func TestRequestIDOnResponses(t *testing.T) {
 		if r.code != http.StatusOK {
 			t.Fatalf("GET %s: %d %s", path, r.code, r.raw)
 		}
+	}
+}
+
+// TestTraceIDIsRequestID pins the one id space: a request's X-Request-Id
+// names its trace at /debug/traces/{id}, and the background store build a
+// session create starts carries that id as its cause.
+func TestTraceIDIsRequestID(t *testing.T) {
+	srv, ts := testServer(t, Config{TraceEnabled: true})
+	body, err := json.Marshal(map[string]any{"sql": testSQL, "l": 8, "kmin": 1, "kmax": 6, "ds": []int{0, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/sessions", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	rid := resp.Header.Get("X-Request-Id")
+	if resp.StatusCode != http.StatusCreated || rid == "" {
+		t.Fatalf("create: %d, X-Request-Id %q", resp.StatusCode, rid)
+	}
+	one := get(t, ts, "/debug/traces/"+rid)
+	if one.code != http.StatusOK || one.body["id"] != rid || one.body["name"] != "POST /v1/sessions" {
+		t.Fatalf("GET /debug/traces/%s: %d %s", rid, one.code, one.raw)
+	}
+	if strings.Contains(one.raw, `"request_id"`) {
+		t.Fatalf("root span still duplicates the id as an attr: %s", one.raw)
+	}
+
+	srv.sessions.wg.Wait() // the build's trace is recorded when it finishes
+	var cause string
+	for _, tr := range get(t, ts, "/debug/traces").body["traces"].([]any) {
+		m := tr.(map[string]any)
+		if m["name"] != "session.build_store" {
+			continue
+		}
+		build := get(t, ts, "/debug/traces/"+m["id"].(string))
+		for _, a := range build.body["root"].(map[string]any)["attrs"].([]any) {
+			if kv := a.(map[string]any); kv["k"] == "cause" {
+				cause, _ = kv["v"].(string)
+			}
+		}
+	}
+	if cause != rid {
+		t.Fatalf("session.build_store cause = %q, want the create's request id %q", cause, rid)
 	}
 }
 
@@ -213,8 +257,7 @@ func TestPromMetrics(t *testing.T) {
 			t.Fatalf("missing family %q in scrape:\n%s", want, scrape.raw)
 		}
 	}
-	s, ok := obs.FindSample(fams, "qagviewd_requests_total", map[string]string{"route": "POST /v1/queries", "code": "200"})
-	if !ok || s.Value < 1 {
+	if !strings.Contains(scrape.raw, "\n"+`qagviewd_requests_total{route="POST /v1/queries",code="200"} 1`+"\n") {
 		t.Fatalf("no request counter for the query route: %s", scrape.raw)
 	}
 	// JSON stays the default rendering.
@@ -352,10 +395,14 @@ func TestPromMetricsStableOrder(t *testing.T) {
 	}
 }
 
-// TestMetricsScrapeObserveRace pins the satellite fix: quantile sorting must
-// not mutate or hold the ring under concurrent observes. Run under -race.
+// TestMetricsScrapeObserveRace renders both /metrics formats while
+// requests are observed into per-route metrics. Under -race it pins that
+// the request path shares no unsynchronized state with a scrape; every
+// route's p99 must stay at or above its p50.
 func TestMetricsScrapeObserveRace(t *testing.T) {
-	m := newMetrics()
+	srv := New(Config{})
+	defer srv.Close()
+	routes := []*routeMetrics{srv.newRouteMetrics("route-0"), srv.newRouteMetrics("route-1")}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
@@ -368,15 +415,18 @@ func TestMetricsScrapeObserveRace(t *testing.T) {
 					return
 				default:
 				}
-				m.observe(fmt.Sprintf("route-%d", g%2), 200, time.Duration(i)*time.Microsecond)
+				routes[g%2].observe(200+204*(i%2), time.Duration(i)*time.Microsecond)
 			}
 		}(g)
 	}
 	for i := 0; i < 50; i++ {
-		_, routes := m.snapshot()
-		for _, rs := range routes {
-			if rs.P99Ms < rs.P50Ms {
-				t.Errorf("p99 %v < p50 %v", rs.P99Ms, rs.P50Ms)
+		if _, err := obs.ParseExposition(srv.metrics.Prometheus()); err != nil {
+			t.Fatalf("scrape under concurrent observes: %v", err)
+		}
+		for name, r := range srv.metrics.JSON()["requests"].(map[string]any) {
+			rs := r.(map[string]any)
+			if p50, p99 := rs["p50_ms"].(float64), rs["p99_ms"].(float64); p99 < p50 {
+				t.Errorf("%s: p99 %v < p50 %v", name, p99, p50)
 			}
 		}
 	}

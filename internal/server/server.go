@@ -24,7 +24,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -309,7 +308,7 @@ type Server struct {
 	cfg      Config
 	db       *db
 	sessions *sessionManager
-	metrics  *metrics
+	metrics  *obs.Registry // declared in declareMetrics (metrics.go)
 	tracer   *obs.Tracer
 	logger   *slog.Logger
 	mux      *http.ServeMux
@@ -317,6 +316,9 @@ type Server struct {
 	// buildSlots is the session-build admission semaphore (nil = unlimited).
 	buildSlots chan struct{}
 	draining   atomic.Bool
+	start      time.Time
+	// Middleware counters (middleware.go).
+	panics, admissionRejects obs.Counter
 }
 
 // New returns a server with an empty catalog. With Config.WALDir set, call
@@ -335,9 +337,10 @@ func New(cfg Config) *Server {
 		cfg:      cfg,
 		db:       newServerDB(execOpts...),
 		sessions: newSessionManager(cfg.MaxSessions, cfg.MaxCacheBytes),
-		metrics:  newMetrics(),
+		metrics:  new(obs.Registry),
 		tracer:   obs.NewTracer(cfg.TraceRing, logger),
 		logger:   logger,
+		start:    time.Now(),
 	}
 	s.tracer.SetEnabled(cfg.TraceEnabled)
 	s.tracer.SetSlowThreshold(cfg.SlowQuery)
@@ -352,6 +355,7 @@ func New(cfg Config) *Server {
 	if cfg.MaxInflightBuilds > 0 {
 		s.buildSlots = make(chan struct{}, cfg.MaxInflightBuilds)
 	}
+	s.declareMetrics()
 	s.mux = http.NewServeMux()
 	// Middleware order, outermost first: instrument (counts every response,
 	// including 429/500/503 from inner layers) → panic recovery → deadline.
@@ -382,11 +386,7 @@ func New(cfg Config) *Server {
 // stampRequestID wraps ops endpoints outside the instrument middleware so
 // every response still carries X-Request-Id (and error bodies a request_id).
 func (s *Server) stampRequestID(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		rid := obs.NewRequestID()
-		w.Header().Set("X-Request-Id", rid)
-		h(&statusWriter{ResponseWriter: w, code: http.StatusOK, rid: rid}, r)
-	}
+	return func(w http.ResponseWriter, r *http.Request) { h(newStatusWriter(w), r) }
 }
 
 // Handler returns the HTTP surface, ready to mount on an http.Server.
@@ -406,15 +406,11 @@ func (s *Server) Register(r *qagview.Relation) error {
 func (s *Server) Close() { s.sessions.close() }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	uptime, _ := s.metrics.snapshot()
-	ws, _, durable := s.walStats()
 	walStatus := "disabled"
-	if durable {
-		switch {
-		case ws.Broken:
+	if s.dur != nil {
+		walStatus = "ok"
+		if s.dur.broken() {
 			walStatus = "broken"
-		default:
-			walStatus = "ok"
 		}
 	}
 	status := "ok"
@@ -423,165 +419,30 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         status,
-		"uptime_seconds": uptime.Seconds(),
+		"uptime_seconds": time.Since(s.start).Seconds(),
 		"wal":            walStatus,
 	})
 }
 
+// handleMetrics renders the metrics registry: JSON by default, the
+// Prometheus text exposition format (version 0.0.4) for
+// ?format=prometheus, the branch scrape configs point at.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "prometheus" {
-		s.promMetrics(w)
+	if r.URL.Query().Get("format") != "prometheus" {
+		writeJSON(w, http.StatusOK, s.metrics.JSON())
 		return
 	}
-	uptime, routes := s.metrics.snapshot()
-	entries, bytes, stats := s.sessions.occupancy()
-	robust := s.metrics.robustness()
-	body := map[string]any{
-		"uptime_seconds": uptime.Seconds(),
-		"requests":       routes,
-		"sessions": map[string]any{
-			"live":        entries,
-			"bytes":       bytes,
-			"max_entries": s.cfg.MaxSessions,
-			"max_bytes":   s.cfg.MaxCacheBytes,
-			"events":      stats,
-		},
-		"panics_recovered":  robust.PanicsRecovered,
-		"admission_rejects": robust.AdmissionRejects,
-		"inflight_builds":   len(s.buildSlots),
-		"draining":          s.draining.Load(),
-	}
-	if ws, ds, durable := s.walStats(); durable {
-		body["wal"] = ws
-		body["recovery"] = ds
-	}
-	writeJSON(w, http.StatusOK, body)
-}
-
-// promMetrics renders the /metrics counters in the Prometheus text
-// exposition format (version 0.0.4): the same numbers the JSON report
-// carries, plus runtime gauges. JSON stays the default; this is the
-// ?format=prometheus branch scrape configs point at.
-func (s *Server) promMetrics(w http.ResponseWriter) {
-	uptime, routes := s.metrics.snapshot()
-	entries, bytes, stats := s.sessions.occupancy()
-	robust := s.metrics.robustness()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	ring := s.tracer.Stats()
-
-	var pw obs.PromWriter
-	pw.Family("qagviewd_uptime_seconds", "gauge", "Seconds since the server started.")
-	pw.Sample("qagviewd_uptime_seconds", uptime.Seconds())
-	// Routes and codes are emitted in sorted order, so successive scrapes
-	// list samples identically.
-	routeNames := sortedKeys(routes)
-	pw.Family("qagviewd_requests_total", "counter", "Requests served, by route and status code.")
-	for _, route := range routeNames {
-		byCode := routes[route].ByCode
-		for _, code := range sortedKeys(byCode) {
-			pw.Sample("qagviewd_requests_total", float64(byCode[code]), "route", route, "code", code)
-		}
-	}
-	pw.Family("qagviewd_request_latency_ms", "gauge", "Request latency quantiles over the recent-sample ring, by route.")
-	for _, route := range routeNames {
-		rs := routes[route]
-		pw.Sample("qagviewd_request_latency_ms", rs.P50Ms, "route", route, "quantile", "0.5")
-		pw.Sample("qagviewd_request_latency_ms", rs.P99Ms, "route", route, "quantile", "0.99")
-	}
-	pw.Family("qagviewd_sessions_live", "gauge", "Live sessions in the LRU cache.")
-	pw.Sample("qagviewd_sessions_live", float64(entries))
-	pw.Family("qagviewd_sessions_bytes", "gauge", "Approximate bytes held by live sessions.")
-	pw.Sample("qagviewd_sessions_bytes", float64(bytes))
-	pw.Family("qagviewd_session_events_total", "counter", "Session-manager lifecycle events.")
-	for _, ev := range []struct {
-		name string
-		n    int64
-	}{
-		{"builds", stats.Builds}, {"build_errors", stats.BuildErrors},
-		{"deduped", stats.Deduped}, {"evictions", stats.Evictions},
-		{"deletes", stats.Deletes}, {"refreshes", stats.Refreshes},
-		{"refresh_noops", stats.RefreshNoops}, {"refresh_errors", stats.RefreshErrors},
-		{"snapshot_loads", stats.SnapshotLoads}, {"snapshot_saves", stats.SnapshotSaves},
-		{"snapshot_save_errors", stats.SnapshotSaveErrors},
-	} {
-		pw.Sample("qagviewd_session_events_total", float64(ev.n), "event", ev.name)
-	}
-	pw.Family("qagviewd_panics_recovered_total", "counter", "Handler panics converted to 500s.")
-	pw.Sample("qagviewd_panics_recovered_total", float64(robust.PanicsRecovered))
-	pw.Family("qagviewd_admission_rejects_total", "counter", "Session builds refused with 429.")
-	pw.Sample("qagviewd_admission_rejects_total", float64(robust.AdmissionRejects))
-	pw.Family("qagviewd_inflight_builds", "gauge", "Session builds currently admitted.")
-	pw.Sample("qagviewd_inflight_builds", float64(len(s.buildSlots)))
-	pw.Family("qagviewd_draining", "gauge", "1 while the server refuses writes for drain.")
-	pw.Sample("qagviewd_draining", boolGauge(s.draining.Load()))
-
-	pw.Family("qagviewd_goroutines", "gauge", "Goroutines in the process.")
-	pw.Sample("qagviewd_goroutines", float64(runtime.NumGoroutine()))
-	pw.Family("qagviewd_heap_alloc_bytes", "gauge", "Bytes of allocated heap objects.")
-	pw.Sample("qagviewd_heap_alloc_bytes", float64(ms.HeapAlloc))
-
-	pw.Family("qagviewd_tracing_enabled", "gauge", "1 when the global tracing gate is on.")
-	pw.Sample("qagviewd_tracing_enabled", boolGauge(ring.Enabled))
-	pw.Family("qagviewd_trace_ring_occupancy", "gauge", "Retained traces, by ring.")
-	pw.Sample("qagviewd_trace_ring_occupancy", float64(ring.Recent), "ring", "recent")
-	pw.Sample("qagviewd_trace_ring_occupancy", float64(ring.Slow), "ring", "slow")
-	pw.Family("qagviewd_traces_total", "counter", "Traces finished, by kind.")
-	pw.Sample("qagviewd_traces_total", float64(ring.Total), "kind", "all")
-	pw.Sample("qagviewd_traces_total", float64(ring.SlowTotal), "kind", "slow")
-
-	if ws, ds, durable := s.walStats(); durable {
-		pw.Family("qagviewd_wal_appends_total", "counter", "Acknowledged WAL appends.")
-		pw.Sample("qagviewd_wal_appends_total", float64(ws.Appends))
-		pw.Family("qagviewd_wal_fsyncs_total", "counter", "WAL fsync batches (group commit).")
-		pw.Sample("qagviewd_wal_fsyncs_total", float64(ws.Fsyncs))
-		pw.Family("qagviewd_wal_bytes_total", "counter", "Bytes appended to the WAL this process.")
-		pw.Sample("qagviewd_wal_bytes_total", float64(ws.Bytes))
-		pw.Family("qagviewd_wal_size_bytes", "gauge", "On-disk bytes across live WAL segments.")
-		pw.Sample("qagviewd_wal_size_bytes", float64(ws.SizeBytes))
-		pw.Family("qagviewd_wal_fsync_ms", "gauge", "WAL fsync latency quantiles over the recent-sample ring.")
-		pw.Sample("qagviewd_wal_fsync_ms", ws.FsyncP50Ms, "quantile", "0.5")
-		pw.Sample("qagviewd_wal_fsync_ms", ws.FsyncP99Ms, "quantile", "0.99")
-		pw.Family("qagviewd_wal_broken", "gauge", "1 after the WAL went fail-stop.")
-		pw.Sample("qagviewd_wal_broken", boolGauge(ws.Broken))
-		pw.Family("qagviewd_recovery_records_replayed_total", "counter", "WAL records replayed by Recover.")
-		pw.Sample("qagviewd_recovery_records_replayed_total", float64(ds.RecordsReplayed))
-		pw.Family("qagviewd_checkpoints_total", "counter", "Completed WAL checkpoints.")
-		pw.Sample("qagviewd_checkpoints_total", float64(ds.Checkpoints))
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write([]byte(pw.String()))
-}
-
-// sortedKeys returns m's keys in ascending order.
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func boolGauge(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	_, _ = w.Write([]byte(s.metrics.Prometheus()))
 }
 
 // handleTraces serves the retained-trace index: ring stats plus summaries,
 // newest first (slow traces that outlived the recent ring included).
 func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	traces := s.tracer.Recent()
-	if traces == nil {
-		traces = []obs.TraceSummary{}
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"ring":   s.tracer.Stats(),
-		"traces": traces,
+		"traces": s.tracer.Recent(),
 	})
 }
 

@@ -598,11 +598,10 @@ func TestSessionDedupeAndEviction(t *testing.T) {
 	if resp := get(t, ts, "/v1/sessions/"+id+"/solution?k=2&d=1"); resp.code != http.StatusNotFound {
 		t.Fatalf("evicted session still served: %d %s", resp.code, resp.raw)
 	}
-	_, _, stats := srv.sessions.occupancy()
-	if stats.Evictions != 1 {
-		t.Fatalf("evictions = %d, want 1", stats.Evictions)
+	if n := srv.sessions.events.evictions.Load(); n != 1 {
+		t.Fatalf("evictions = %d, want 1", n)
 	}
-	if stats.Builds != 2 {
-		t.Fatalf("builds = %d, want 2", stats.Builds)
+	if n := srv.sessions.events.builds.Load(); n != 2 {
+		t.Fatalf("builds = %d, want 2", n)
 	}
 }

@@ -139,21 +139,14 @@ func resultFingerprint(res *qagview.Result) string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// managerStats counts session-manager events for /metrics.
-type managerStats struct {
-	Builds        int64 `json:"builds"`
-	BuildErrors   int64 `json:"build_errors"`
-	Deduped       int64 `json:"deduped"`
-	Evictions     int64 `json:"evictions"`
-	Deletes       int64 `json:"deletes"`
-	Refreshes     int64 `json:"refreshes"`
-	RefreshNoops  int64 `json:"refresh_noops"`
-	RefreshErrors int64 `json:"refresh_errors"`
-	SnapshotLoads int64 `json:"snapshot_loads"`
-	SnapshotSaves int64 `json:"snapshot_saves"`
-	// SnapshotSaveErrors counts store snapshots that could not be written
-	// (each is also logged at Warn); the session keeps serving from memory.
-	SnapshotSaveErrors int64 `json:"snapshot_save_errors"`
+// sessionEvents counts session-manager events for /metrics (declared in
+// declareMetrics). snapshotSaveErrors counts store snapshots that could not
+// be written (each is also logged at Warn); the session keeps serving from
+// memory.
+type sessionEvents struct {
+	builds, buildErrors, deduped, evictions, deletes obs.Counter
+	refreshes, refreshNoops, refreshErrors           obs.Counter
+	snapshotLoads, snapshotSaves, snapshotSaveErrors obs.Counter
 }
 
 // sessionManager owns the LRU of live sessions. Summarizer construction and
@@ -161,9 +154,9 @@ type managerStats struct {
 // stores build in one background goroutine per view, cancelled on eviction or
 // supersession via the context threaded into Precompute.
 type sessionManager struct {
-	mu    sync.Mutex
-	cache *lruCache // session id -> *session
-	stats managerStats
+	mu     sync.Mutex
+	cache  *lruCache // session id -> *session
+	events sessionEvents
 
 	flight flightGroup
 
@@ -198,7 +191,7 @@ func newSessionManager(maxSessions int, maxBytes int64) *sessionManager {
 		// Runs under m.mu (all cache mutations do). Cancelling an in-flight
 		// build makes Precompute return ctx.Err() at its next per-D check.
 		if !m.removing {
-			m.stats.Evictions++
+			m.events.evictions.Inc()
 		}
 		v.(*session).shutdown()
 	})
@@ -224,7 +217,7 @@ func (m *sessionManager) remove(id string) bool {
 	if _, ok := m.cache.Get(id); !ok {
 		return false
 	}
-	m.stats.Deletes++
+	m.events.deletes.Inc()
 	m.removing = true
 	m.cache.Remove(id)
 	m.removing = false
@@ -234,8 +227,9 @@ func (m *sessionManager) remove(id string) bool {
 // open returns the live session for (sql, L, grid), building it if needed.
 // Concurrent identical requests share one build; reused reports whether the
 // caller got a session someone else created (live cache hit or singleflight
-// duplicate).
-func (m *sessionManager) open(ctx context.Context, db *db, sql string, l, kMin, kMax int, ds []int) (sess *session, reused bool, err error) {
+// duplicate). cause is the id of the request asking; the background store
+// build's trace names it.
+func (m *sessionManager) open(ctx context.Context, db *db, cause, sql string, l, kMin, kMax int, ds []int) (sess *session, reused bool, err error) {
 	key := sessionKey(sql, l, kMin, kMax, ds)
 	id := "s-" + key[:16]
 	if s, ok := m.get(id); ok {
@@ -247,15 +241,13 @@ func (m *sessionManager) open(ctx context.Context, db *db, sql string, l, kMin, 
 		if s, ok := m.get(id); ok {
 			return s, nil
 		}
-		return m.build(ctx, db, id, sql, l, kMin, kMax, ds)
+		return m.build(ctx, db, cause, id, sql, l, kMin, kMax, ds)
 	})
 	if err != nil {
 		return nil, false, err
 	}
 	if shared {
-		m.mu.Lock()
-		m.stats.Deduped++
-		m.mu.Unlock()
+		m.events.deduped.Inc()
 	}
 	return v.(*session), shared, nil
 }
@@ -267,7 +259,7 @@ func (m *sessionManager) open(ctx context.Context, db *db, sql string, l, kMin, 
 // The ctx bounds only the synchronous query (the caller's request deadline;
 // duplicate singleflight callers share the first caller's fate); the
 // background sweep runs under its own cancel-on-eviction context.
-func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, kMin, kMax int, ds []int) (*session, error) {
+func (m *sessionManager) build(ctx context.Context, db *db, cause, id, sql string, l, kMin, kMax int, ds []int) (*session, error) {
 	// Read the table generation before running the query: if an append races
 	// in between, the view is labeled older than the data it may contain and
 	// the first read triggers a refresh that diffs to a no-op — never the
@@ -315,12 +307,12 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 		build:       newStoreBuild(cancel),
 	}
 	s.view.Store(v)
+	m.events.builds.Inc()
 	m.mu.Lock()
-	m.stats.Builds++
 	m.cache.Add(id, s, sum.ApproxBytes())
 	m.mu.Unlock()
 	m.wg.Add(1)
-	go m.buildStore(buildCtx, s, v)
+	go m.buildStore(buildCtx, cause, s, v)
 	return s, nil
 }
 
@@ -329,8 +321,8 @@ func (m *sessionManager) build(ctx context.Context, db *db, id, sql string, l, k
 // query, supersedes any in-flight sweep (cancel + wait), rebuilds the
 // cluster space through Live.Refresh, and kicks off the successor store
 // build. Concurrent stale reads share one refresh
-// through the singleflight group.
-func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sessionView, error) {
+// through the singleflight group. cause is the id of the reading request.
+func (m *sessionManager) freshen(ctx context.Context, db *db, cause string, s *session) (*sessionView, error) {
 	cur := s.currentView()
 	if s.dead.Load() || cur.dataVersion >= db.generationSum(s.Tables) {
 		return cur, nil
@@ -353,11 +345,11 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 		rsp.SetAttr("session", s.ID)
 		res, err := db.query(rctx, s.SQL)
 		if err != nil {
-			m.countRefresh(&m.stats.RefreshErrors)
+			m.events.refreshErrors.Inc()
 			return nil, fmt.Errorf("refresh query: %w", err)
 		}
 		if res.N() < s.L {
-			m.countRefresh(&m.stats.RefreshErrors)
+			m.events.refreshErrors.Inc()
 			return nil, fmt.Errorf("refreshed result has %d groups, below the session's l = %d", res.N(), s.L)
 		}
 		fp := resultFingerprint(res)
@@ -368,7 +360,7 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 			// cancelling anything.
 			nv := &sessionView{sum: cur.sum, dataVersion: want, dataFP: fp, build: cur.build}
 			s.view.Store(nv)
-			m.countRefresh(&m.stats.RefreshNoops)
+			m.events.refreshNoops.Inc()
 			return nv, nil
 		}
 		// Supersede the current generation's sweep: cancel it and wait for
@@ -378,7 +370,7 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 		//qag:allow lockscope deliberate: refreshMu serializes refreshes per session, and the superseded build was just cancelled, so ready closes promptly; waiting here is what guarantees Live's single-writer contract
 		<-cur.build.ready
 		if _, _, err := s.live.RefreshCtx(rctx, res); err != nil {
-			m.countRefresh(&m.stats.RefreshErrors)
+			m.events.refreshErrors.Inc()
 			return nil, fmt.Errorf("refresh: %w", err)
 		}
 		ctx, cancel := context.WithCancel(context.Background())
@@ -392,12 +384,12 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 		if s.dead.Load() {
 			cancel() // lost a race with eviction; don't leak the build
 		}
+		m.events.refreshes.Inc()
 		m.mu.Lock()
-		m.stats.Refreshes++
 		m.cache.Resize(s.ID, nv.sum.ApproxBytes())
 		m.mu.Unlock()
 		m.wg.Add(1)
-		go m.buildStore(ctx, s, nv)
+		go m.buildStore(ctx, cause, s, nv)
 		return nv, nil
 	})
 	if err != nil {
@@ -406,25 +398,21 @@ func (m *sessionManager) freshen(ctx context.Context, db *db, s *session) (*sess
 	return v.(*sessionView), nil
 }
 
-func (m *sessionManager) countRefresh(counter *int64) {
-	m.mu.Lock()
-	*counter++
-	m.mu.Unlock()
-}
-
 // buildStore materializes a view's precompute store in the background
 // (fillStore), then — with ready already closed, so reads switch to the
 // store while the file is fsynced — snapshots a freshly swept store for the
 // next restart. The goroutine stays in m.wg until the save returns, so close
 // and Drain wait for it.
-func (m *sessionManager) buildStore(ctx context.Context, s *session, v *sessionView) {
+func (m *sessionManager) buildStore(ctx context.Context, cause string, s *session, v *sessionView) {
 	defer m.wg.Done()
 	// Background builds run on a cancel-on-eviction context with no request
 	// attached, so they root their own trace (recorded only while the global
-	// gate is on; nil otherwise).
-	ctx, btr := m.tracer.StartTrace(ctx, "session.build_store", false)
+	// gate is on; nil otherwise), linked to the request that started them by
+	// its id in the cause attr.
+	ctx, btr := m.tracer.StartTrace(ctx, obs.NewRequestID(), "session.build_store", false)
 	if btr != nil {
 		btr.Root.SetAttr("session", s.ID)
+		btr.Root.SetAttr("cause", cause)
 		btr.Root.SetInt("data_version", int64(v.dataVersion))
 		defer m.tracer.Finish(btr)
 	}
@@ -446,9 +434,7 @@ func (m *sessionManager) fillStore(ctx context.Context, s *session, v *sessionVi
 		if r := recover(); r != nil {
 			v.build.buildErr = fmt.Errorf("store build panicked: %v", r)
 			st, swept = nil, false
-			m.mu.Lock()
-			m.stats.BuildErrors++
-			m.mu.Unlock()
+			m.events.buildErrors.Inc()
 		}
 	}()
 	if st, ok := m.loadSnapshot(s, v); ok {
@@ -464,9 +450,7 @@ func (m *sessionManager) fillStore(ctx context.Context, s *session, v *sessionVi
 		if !errors.Is(err, context.Canceled) {
 			// Cancellation is routine eviction/supersession cleanup (already
 			// counted), not a failure signal.
-			m.mu.Lock()
-			m.stats.BuildErrors++
-			m.mu.Unlock()
+			m.events.buildErrors.Inc()
 		}
 		return nil, false
 	}
@@ -500,9 +484,7 @@ func (m *sessionManager) loadSnapshot(s *session, v *sessionView) (*qagview.Stor
 		// save overwrites it.
 		return nil, false
 	}
-	m.mu.Lock()
-	m.stats.SnapshotLoads++
-	m.mu.Unlock()
+	m.events.snapshotLoads.Inc()
 	return st, true
 }
 
@@ -518,18 +500,13 @@ func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.St
 	}
 	path := m.dur.storePath(s.ID, v.dataFP)
 	err := writeSnapshotFile(path, faultinject.CrashStoreRenameBefore, faultinject.CrashStoreRenameAfter, st.Encode)
-	m.mu.Lock()
 	if err != nil {
-		m.stats.SnapshotSaveErrors++
-	} else {
-		m.stats.SnapshotSaves++
-	}
-	m.mu.Unlock()
-	if err != nil {
+		m.events.snapshotSaveErrors.Inc()
 		m.logger.Warn("session snapshot save failed; the session keeps serving from memory",
 			"session", s.ID, "error", err)
 		return
 	}
+	m.events.snapshotSaves.Inc()
 	// Open readers on unix keep their fd across the unlink, so a concurrent
 	// load racing the delete still decodes cleanly (or misses and re-sweeps).
 	old, _ := filepath.Glob(filepath.Join(filepath.Dir(path), s.ID+"-*.store"))
@@ -541,10 +518,10 @@ func (m *sessionManager) saveSnapshot(s *session, v *sessionView, st *qagview.St
 }
 
 // occupancy reports the cache gauges for /metrics.
-func (m *sessionManager) occupancy() (entries int, bytes int64, stats managerStats) {
+func (m *sessionManager) occupancy() (entries int, bytes int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.cache.Len(), m.cache.Bytes(), m.stats
+	return m.cache.Len(), m.cache.Bytes()
 }
 
 // close cancels every live session's background work and waits for the
@@ -555,7 +532,7 @@ func (m *sessionManager) close() {
 		m.cache.removeElement(m.cache.ll.Back())
 	}
 	m.mu.Unlock()
-	// Outside the lock: cancelled builds may still need m.mu to count their
-	// cancellation before they return.
+	// Outside the lock: a finishing build may still need m.mu to re-account
+	// its session's bytes before it returns.
 	m.wg.Wait()
 }

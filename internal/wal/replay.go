@@ -36,6 +36,13 @@ type ReplayInfo struct {
 // fn must be side-effect-safe against a later Open error only in the sense
 // the caller defines; Open itself stops at the first fn error.
 func Open(dir string, fn func(Record) error) (*Log, *ReplayInfo, error) {
+	return OpenMetered(dir, new(Metrics), fn)
+}
+
+// OpenMetered is Open with the log counting its traffic into m, which the
+// caller owns: a server declares m in its metrics registry before the log
+// exists.
+func OpenMetered(dir string, m *Metrics, fn func(Record) error) (*Log, *ReplayInfo, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
@@ -60,7 +67,7 @@ func Open(dir string, fn func(Record) error) (*Log, *ReplayInfo, error) {
 		info.SizeBytes += valid
 	}
 
-	l := &Log{dir: dir}
+	l := &Log{dir: dir, m: m}
 	if len(paths) == 0 {
 		l.seq = 1
 		f, err := os.OpenFile(filepath.Join(dir, segName(l.seq)), os.O_CREATE|os.O_WRONLY|os.O_EXCL, 0o644)
@@ -82,29 +89,6 @@ func Open(dir string, fn func(Record) error) (*Log, *ReplayInfo, error) {
 	}
 	l.size = info.SizeBytes
 	return l, info, nil
-}
-
-// Replay scans dir's records through fn without opening a log for appends
-// and without repairing anything (read-only inspection).
-func Replay(dir string, fn func(Record) error) (*ReplayInfo, error) {
-	paths, _, err := listSegments(dir)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return &ReplayInfo{}, nil
-		}
-		return nil, err
-	}
-	info := &ReplayInfo{Segments: len(paths)}
-	for i, p := range paths {
-		valid, n, size, err := scanSegment(p, i == len(paths)-1, fn)
-		if err != nil {
-			return nil, err
-		}
-		info.Records += n
-		info.TruncatedBytes += size - valid
-		info.SizeBytes += valid
-	}
-	return info, nil
 }
 
 // scanSegment replays one segment, returning the offset of the last valid

@@ -26,15 +26,23 @@ import (
 	"time"
 
 	"qagview/internal/faultinject"
+	"qagview/internal/obs"
 )
 
 const (
 	segPrefix = "wal-"
 	segSuffix = ".log"
-	// fsyncSampleCap bounds the fsync-latency reservoir (quantiles over the
-	// most recent samples, O(1) memory under sustained traffic).
-	fsyncSampleCap = 512
 )
+
+// Metrics count a log's traffic. The caller owns them, so a server can
+// declare them in its metrics registry before the log is opened.
+type Metrics struct {
+	Appends obs.Counter // records staged
+	Batches obs.Counter // group commits written
+	Fsyncs  obs.Counter
+	Bytes   obs.Counter // frame bytes staged by this process
+	FsyncMs obs.Histogram
+}
 
 // Log is an append-only record log over numbered segment files. All methods
 // are goroutine-safe.
@@ -53,27 +61,9 @@ type Log struct {
 	waiters  []chan error
 	flushing bool
 	broken   error // sticky first failure; all later appends return it
+	size     int64 // on-disk bytes across live segments
 
-	// stats (under mu)
-	appends int64
-	batches int64
-	fsyncs  int64
-	bytes   int64 // bytes appended this process
-	size    int64 // on-disk bytes across live segments
-	fsyncMs []float64
-	fsyncAt int
-}
-
-// Stats is a point-in-time snapshot of the log's counters for /metrics.
-type Stats struct {
-	Appends    int64   `json:"appends"`
-	Batches    int64   `json:"batches"`
-	Fsyncs     int64   `json:"fsyncs"`
-	Bytes      int64   `json:"bytes"`
-	SizeBytes  int64   `json:"size_bytes"`
-	FsyncP50Ms float64 `json:"fsync_p50_ms"`
-	FsyncP99Ms float64 `json:"fsync_p99_ms"`
-	Broken     bool    `json:"broken"`
+	m *Metrics
 }
 
 // segName renders a segment filename; the fixed-width sequence keeps
@@ -154,14 +144,14 @@ func (l *Log) Stage(rec Record) func() error {
 	}
 	l.pending = append(l.pending, frame...)
 	l.waiters = append(l.waiters, ch)
-	l.appends++
-	l.bytes += int64(len(frame))
 	l.size += int64(len(frame))
 	start := !l.flushing
 	if start {
 		l.flushing = true
 	}
 	l.mu.Unlock()
+	l.m.Appends.Inc()
+	l.m.Bytes.Add(int64(len(frame)))
 	faultinject.Crash(faultinject.CrashWALAppendStaged)
 	if start {
 		go l.flushLoop()
@@ -257,18 +247,10 @@ func (l *Log) commit(f *os.File, buf []byte) error {
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("wal: fsync: %w", err)
 	}
-	ms := float64(time.Since(t0)) / float64(time.Millisecond)
+	l.m.FsyncMs.Observe(time.Since(t0))
 	faultinject.Crash(faultinject.CrashWALFsyncAfter)
-	l.mu.Lock()
-	l.batches++
-	l.fsyncs++
-	if len(l.fsyncMs) < fsyncSampleCap {
-		l.fsyncMs = append(l.fsyncMs, ms)
-	} else {
-		l.fsyncMs[l.fsyncAt] = ms
-	}
-	l.fsyncAt = (l.fsyncAt + 1) % fsyncSampleCap
-	l.mu.Unlock()
+	l.m.Batches.Inc()
+	l.m.Fsyncs.Inc()
 	return nil
 }
 
@@ -352,40 +334,11 @@ func (l *Log) SizeBytes() int64 {
 	return l.size
 }
 
-// Stats snapshots the log's counters. The fsync samples are copied under
-// the lock and sorted outside it, so a slow scrape never stalls appenders
-// waiting on mu in the fsync hot path.
-func (l *Log) Stats() Stats {
+// Broken reports whether the log has gone fail-stop (or was closed).
+func (l *Log) Broken() bool {
 	l.mu.Lock()
-	sorted := append([]float64(nil), l.fsyncMs...)
-	st := Stats{
-		Appends:   l.appends,
-		Batches:   l.batches,
-		Fsyncs:    l.fsyncs,
-		Bytes:     l.bytes,
-		SizeBytes: l.size,
-		Broken:    l.broken != nil,
-	}
-	l.mu.Unlock()
-	sort.Float64s(sorted)
-	st.FsyncP50Ms = quantile(sorted, 0.50)
-	st.FsyncP99Ms = quantile(sorted, 0.99)
-	return st
-}
-
-// quantile reads q from an ascending sample list (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
+	defer l.mu.Unlock()
+	return l.broken != nil
 }
 
 // Close flushes staged records and closes the current segment. Appends

@@ -177,6 +177,8 @@ ck 200 "$OUT/metrics.prom" "${BASE}/metrics?format=prometheus"
 go run ./cmd/promlint \
   -require qagviewd_requests_total,qagviewd_request_latency_ms,qagviewd_uptime_seconds,qagviewd_goroutines,qagviewd_heap_alloc_bytes,qagviewd_trace_ring_occupancy,qagviewd_traces_total \
   < "$OUT/metrics.prom" || fail "prometheus exposition failed promlint"
+grep -q '^# TYPE qagviewd_request_latency_ms histogram$' "$OUT/metrics.prom" || fail "request latency is not a histogram"
+grep -q 'quantile=' "$OUT/metrics.prom" && fail "a quantile label is left in the exposition"
 
 echo "== durability: acked writes survive kill -9"
 kill "${SERVER_PID}" 2>/dev/null || true
@@ -231,6 +233,10 @@ for i in $(seq 1 100); do
   [ "$i" = 100 ] && fail "store snapshot was never saved"
   sleep 0.1
 done
+go run ./cmd/promlint \
+  -require qagviewd_request_latency_ms,qagviewd_wal_fsync_ms,qagviewd_wal_appends_total,qagviewd_wal_batches_total,qagviewd_checkpoint_errors_total \
+  < "$OUT/dur_metrics.prom" || fail "durable prometheus exposition failed promlint"
+grep -q '^# TYPE qagviewd_wal_fsync_ms histogram$' "$OUT/dur_metrics.prom" || fail "WAL fsync latency is not a histogram"
 ls "${WALDIR}"/stores/*.store >/dev/null || fail "no store snapshot in ${WALDIR}/stores"
 
 echo "   kill -9 then restart against ${WALDIR}"
